@@ -38,6 +38,7 @@ from .semiclassics import (
     norm_defect,
     sass_remainder,
     spectral_moment,
+    sweep,
     trace_sequence,
     tuynman_defect,
 )

@@ -72,7 +72,11 @@ class MatrixCache:
         return path
 
     def load(self, source: str, kind: str, m: int) -> OperatorMatrix | None:
-        """The cached matrix, or None on a cache miss."""
+        """The cached matrix, or None on a cache miss.
+
+        The file holds floats only, so a hit has no exact kernel and its
+        provenance is "cached", whatever the stored matrix was.
+        """
         path = self.path_for(source, kind, m)
         if not path.exists():
             return None
@@ -103,7 +107,7 @@ class MatrixCache:
             raise
         except Exception as exc:
             raise CacheCorruption(f"{path}: unreadable ({exc})") from exc
-        return OperatorMatrix(m, entries, header.get("provenance", "cached"), source)
+        return OperatorMatrix(m, entries, "cached", source)
 
     def clear(self) -> int:
         if not self.root.exists():

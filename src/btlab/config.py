@@ -20,7 +20,9 @@ Grammar (see README for a complete example)::
         1 1 -1 3 0 1
 
 Each ``terms`` line is one numerator monomial z^a zbar^b with coefficient
-re_num/re_den + i*im_num/im_den; the symbol is N/(1+z*zbar)^R.
+re_num/re_den + i*im_num/im_den; the symbol is N/(1+z*zbar)^R.  The
+trailing ``#`` notes above annotate the grammar: in a config file a
+comment must stand on a line of its own.
 """
 
 from __future__ import annotations

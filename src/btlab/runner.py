@@ -18,7 +18,6 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +41,7 @@ from .semiclassics import (
     sass_remainder,
     spectral_moment,
     moment_limit,
+    sweep,
     tuynman_defect,
 )
 from .starproduct import FormalSeries, b_inverse, b_map, check_axioms, check_equivalence
@@ -164,26 +164,17 @@ def _pairs(names: list[str]) -> list[tuple[str, str]]:
     return [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))]
 
 
-def _sweep(name: str, m_list, fn, jobs: int) -> ConvergenceTable:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(fn, m_list))
-    else:
-        values = [fn(m) for m in m_list]
-    return ConvergenceTable(name, list(zip(m_list, values)))
-
-
 def _slope_ok(table: ConvergenceTable, threshold: float) -> bool:
     fit = loglog_slope(table)
     return fit.exact_identity or fit.slope <= threshold
 
 
-def _check_norms(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_norms(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
         sup = sup_norm(f)
-        table = _sweep(
-            name, cfg.m_list, lambda m, f=f, s=sup: norm_defect(f, m, s, toeplitz=ctx.toeplitz), ctx.jobs
+        table = sweep(
+            name, cfg.m_list, lambda m, f=f, s=sup: norm_defect(f, m, s, toeplitz=assembler.toeplitz), jobs
         )
         tables.append(table)
         defects = table.values()
@@ -197,13 +188,13 @@ def _check_norms(cfg: ExperimentConfig, ctx) -> CheckOutcome:
     return CheckOutcome("norms", "pass" if ok else "fail", tables, details)
 
 
-def _check_dirac(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_dirac(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     threshold = -1.0 + cfg.slope_window
     tables, details, ok = [], {}, True
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
-        table = _sweep(
-            f"{na}-{nb}", cfg.m_list, lambda m, f=f, g=g: dirac_defect(f, g, m, toeplitz=ctx.toeplitz), ctx.jobs
+        table = sweep(
+            f"{na}-{nb}", cfg.m_list, lambda m, f=f, g=g: dirac_defect(f, g, m, toeplitz=assembler.toeplitz), jobs
         )
         tables.append(table)
         if not _slope_ok(table, threshold):
@@ -212,17 +203,19 @@ def _check_dirac(cfg: ExperimentConfig, ctx) -> CheckOutcome:
     return CheckOutcome("dirac", "pass" if ok else "fail", tables, details)
 
 
-def _check_product(cfg: ExperimentConfig, ctx, order: int, check_name: str) -> CheckOutcome:
+def _check_product(
+    cfg: ExperimentConfig, assembler: Assembler, jobs: int, order: int, check_name: str
+) -> CheckOutcome:
     threshold = -float(order) + order * cfg.slope_window
     tables, details, ok = [], {}, True
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
         coeffs = product_coefficients(f, g, order)
-        table = _sweep(
+        table = sweep(
             f"{na}-{nb}",
             cfg.m_list,
-            lambda m, f=f, g=g, c=coeffs: sass_remainder(f, g, c, m, toeplitz=ctx.toeplitz),
-            ctx.jobs,
+            lambda m, f=f, g=g, c=coeffs: sass_remainder(f, g, c, m, toeplitz=assembler.toeplitz),
+            jobs,
         )
         tables.append(table)
         if not _slope_ok(table, threshold):
@@ -235,21 +228,16 @@ def _check_product(cfg: ExperimentConfig, ctx, order: int, check_name: str) -> C
     return CheckOutcome(check_name, "pass" if ok else "fail", tables, details)
 
 
-def _check_trace(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_trace(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     tables, details, ok = [], {}, True
     tol = cfg.identity_tol
     for name, f in cfg.active_symbols():
         avg = float(average(f).re)
-        records = []
-        worst = 0.0
-        for m in cfg.m_list:
-            tr = float(np.trace(ctx.toeplitz(f, m).entries).real)
-            records.append((m, tr))
-            worst = max(worst, abs(tr - (m + 1) * avg))
-        table = ConvergenceTable(name, records)
+        table = sweep(name, cfg.m_list, lambda m, f=f: float(np.trace(assembler.toeplitz(f, m).entries).real), jobs)
         tables.append(table)
-        ms = np.array([m for m, _ in records], dtype=float)
-        trs = np.array([v for _, v in records])
+        worst = max(abs(tr - (m + 1) * avg) for m, tr in table.records)
+        ms = np.array([m for m, _ in table.records], dtype=float)
+        trs = np.array(table.values())
         tau0, tau1 = np.polyfit(ms, trs, 1)
         residual = float(np.max(np.abs(tau0 * ms + tau1 - trs)))
         sym_ok = worst <= tol and residual <= tol and abs(tau0 - avg) <= tol and abs(tau1 - avg) <= tol
@@ -264,17 +252,17 @@ def _check_trace(cfg: ExperimentConfig, ctx) -> CheckOutcome:
     return CheckOutcome("trace", "pass" if ok else "fail", tables, details)
 
 
-def _check_spectrum(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     threshold = -1.0 + cfg.slope_window
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
         for k in (1, 2, 3):
             limit = float(moment_limit(f, k).re)
-            table = _sweep(
+            table = sweep(
                 f"{name}-k{k}",
                 cfg.m_list,
-                lambda m, f=f, k=k, L=limit: abs(spectral_moment(f, m, k, toeplitz=ctx.toeplitz) - L),
-                ctx.jobs,
+                lambda m, f=f, k=k, L=limit: abs(spectral_moment(f, m, k, toeplitz=assembler.toeplitz) - L),
+                jobs,
             )
             tables.append(table)
             if not _slope_ok(table, threshold):
@@ -287,14 +275,14 @@ def _check_spectrum(cfg: ExperimentConfig, ctx) -> CheckOutcome:
     return CheckOutcome("spectrum", "pass" if ok else "fail", tables, details)
 
 
-def _check_tuynman(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
-        table = _sweep(
+        table = sweep(
             name,
             cfg.m_list,
-            lambda m, f=f: tuynman_defect(f, m, toeplitz=ctx.toeplitz, prequantum=ctx.prequantum),
-            ctx.jobs,
+            lambda m, f=f: tuynman_defect(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum),
+            jobs,
         )
         tables.append(table)
         worst = max(table.values())
@@ -308,7 +296,7 @@ def _random_pool(cfg: ExperimentConfig, count: int) -> list[CanonicalSymbol]:
     return [random_real_symbol(cfg.seed * 1000 + i, 2) for i in range(count)]
 
 
-def _check_staraxioms(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     details, ok = {}, True
     pool = [f for _, f in cfg.active_symbols()] + _random_pool(cfg, 6)
     for i in range(5):
@@ -324,7 +312,7 @@ def _check_staraxioms(cfg: ExperimentConfig, ctx) -> CheckOutcome:
     return CheckOutcome("staraxioms", "pass" if ok else "fail", [], details)
 
 
-def _check_equivalence(cfg: ExperimentConfig, ctx) -> CheckOutcome:
+def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     details, ok = {}, True
     pool = [f for _, f in cfg.active_symbols()] + _random_pool(cfg, 5)
     for i in range(5):
@@ -340,8 +328,8 @@ def _check_equivalence(cfg: ExperimentConfig, ctx) -> CheckOutcome:
 _CHECKS = {
     "norms": _check_norms,
     "dirac": _check_dirac,
-    "product": lambda cfg, ctx: _check_product(cfg, ctx, 1, "product"),
-    "sass2": lambda cfg, ctx: _check_product(cfg, ctx, 2, "sass2"),
+    "product": lambda cfg, assembler, jobs: _check_product(cfg, assembler, jobs, 1, "product"),
+    "sass2": lambda cfg, assembler, jobs: _check_product(cfg, assembler, jobs, 2, "sass2"),
     "trace": _check_trace,
     "spectrum": _check_spectrum,
     "tuynman": _check_tuynman,
@@ -367,17 +355,10 @@ def calibrate_laplacian_coeff(identity_tol: float = 1e-10) -> Fraction:
     raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
 
 
-class _Context:
-    def __init__(self, assembler: Assembler, jobs: int):
-        self.assembler = assembler
-        self.jobs = jobs
-        self.toeplitz = assembler.toeplitz
-        self.prequantum = assembler.prequantum
-
-
 def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
     assembler = Assembler(cache)
-    ctx = _Context(assembler, jobs if jobs is not None else len(cfg.m_list))
+    if jobs is None:
+        jobs = len(cfg.m_list)
     phase = calibrate_hamiltonian_phase(cfg.seed)
     calibration = {
         "poisson_phase": "-i" if phase == QC(0, -1) else "+i",
@@ -388,7 +369,7 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
     timings: dict[str, float] = {}
     for name in cfg.checks:
         t0 = time.perf_counter()
-        checks[name] = _CHECKS[name](cfg, ctx)
+        checks[name] = _CHECKS[name](cfg, assembler, jobs)
         timings[name] = time.perf_counter() - t0
     status = "pass" if all(out.status == "pass" for out in checks.values()) else "fail"
     return RunReport(

@@ -1,29 +1,30 @@
 """Level sweeps quantifying the semiclassical laws of the quantization.
 
-Every function here produces either a single defect at one level m or a
-``ConvergenceTable`` over a sweep of levels; log-log slope fits turn the
-O(m^-N) statements into checkable numbers.  Defects below EXACT_ZERO_TOL
-are flagged as exact identities and never enter a fit.
+Every defect function here computes a single defect at one level m;
+``sweep`` turns a per-level function into a ``ConvergenceTable`` over a
+sweep of levels, and log-log slope fits turn the O(m^-N) statements into
+checkable numbers.  Defects below EXACT_ZERO_TOL are flagged as exact
+identities and never enter a fit.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateTable, UnknownCoefficientOrder
 from .exact import QC
 from .operators import (
-    OperatorMatrix,
     commutator,
     hermitian_eigenvalues,
     operator_norm,
     prequantum_geometric,
     toeplitz_exact,
+    trace_exact,
 )
 from .starproduct import c1
 from .symbols import CanonicalSymbol, average, laplacian, poisson_bracket, sup_norm
@@ -77,19 +78,28 @@ def loglog_slope(table: ConvergenceTable) -> FitResult:
     return table.fit
 
 
-@lru_cache(maxsize=None)
-def cached_toeplitz(f: CanonicalSymbol, m: int) -> OperatorMatrix:
-    return toeplitz_exact(f, m)
+def sweep(name: str, m_list, fn, jobs: int) -> ConvergenceTable:
+    """The table of fn(m) over m_list, with up to ``jobs`` levels at once.
+
+    Records follow the order of m_list whatever the job count, so the
+    table does not depend on ``jobs``.
+    """
+    if jobs > 1:
+        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            values = list(pool.map(fn, m_list))
+    else:
+        values = [fn(m) for m in m_list]
+    return ConvergenceTable(name, list(zip(m_list, values)))
 
 
-def norm_defect(f: CanonicalSymbol, m: int, sup: float | None = None, toeplitz=cached_toeplitz) -> float:
+def norm_defect(f: CanonicalSymbol, m: int, sup: float | None = None, toeplitz=toeplitz_exact) -> float:
     """sup|f| minus the operator norm of the level-m Toeplitz matrix."""
     if sup is None:
         sup = sup_norm(f)
     return sup - operator_norm(toeplitz(f, m))
 
 
-def dirac_defect(f: CanonicalSymbol, g: CanonicalSymbol, m: int, toeplitz=cached_toeplitz) -> float:
+def dirac_defect(f: CanonicalSymbol, g: CanonicalSymbol, m: int, toeplitz=toeplitz_exact) -> float:
     """|| m i [T_f, T_g] - T_{{f,g}} || at level m."""
     bracket = toeplitz(poisson_bracket(f, g), m)
     comm = commutator(toeplitz(f, m), toeplitz(g, m))
@@ -101,7 +111,7 @@ def sass_remainder(
     g: CanonicalSymbol,
     coeffs: list[CanonicalSymbol],
     m: int,
-    toeplitz=cached_toeplitz,
+    toeplitz=toeplitz_exact,
 ) -> float:
     """|| T_f T_g - sum_{j<N} m^-j T_{coeffs[j]} || for N = len(coeffs) <= 2."""
     n = len(coeffs)
@@ -128,7 +138,7 @@ def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequant
     return operator_norm(prequantum(f, m).entries - 1j * rhs.entries)
 
 
-def spectral_moment(f: CanonicalSymbol, m: int, k: int, toeplitz=cached_toeplitz) -> float:
+def spectral_moment(f: CanonicalSymbol, m: int, k: int, toeplitz=toeplitz_exact) -> float:
     """(1/m) sum of the k-th powers of the level-m Toeplitz eigenvalues."""
     if k < 1:
         raise ValueError("moment order k must be >= 1")
@@ -145,16 +155,7 @@ def moment_limit(f: CanonicalSymbol, k: int) -> QC:
 
 
 def trace_sequence(f: CanonicalSymbol, m_list) -> ConvergenceTable:
-    records = [(m, float(trace_exact_level(f, m).re)) for m in m_list]
-    return ConvergenceTable("trace", records)
-
-
-def trace_exact_level(f: CanonicalSymbol, m: int) -> QC:
-    total = QC(0)
-    kernel = cached_toeplitz(f, m).kernel
-    for j in range(m + 1):
-        total = total + kernel[j][j]
-    return total
+    return sweep("trace", m_list, lambda m: float(trace_exact(toeplitz_exact(f, m)).re), 1)
 
 
 def extract_tau(f: CanonicalSymbol, m_list=DEFAULT_SWEEP) -> tuple[QC, QC]:
@@ -166,44 +167,10 @@ def extract_tau(f: CanonicalSymbol, m_list=DEFAULT_SWEEP) -> tuple[QC, QC]:
     ms = list(m_list)
     if len(ms) < 2:
         raise ValueError("need at least two levels to extract tau")
-    tr = {m: trace_exact_level(f, m) for m in ms}
+    tr = {m: trace_exact(toeplitz_exact(f, m)) for m in ms}
     tau0 = (tr[ms[1]] - tr[ms[0]]) / QC(ms[1] - ms[0])
     tau1 = tr[ms[0]] - tau0 * QC(ms[0])
     for m in ms[2:]:
         if tr[m] != tau0 * QC(m) + tau1:
             raise RuntimeError(f"trace is not linear in m at level {m}")
     return tau0, tau1
-
-
-# -- sweep builders ----------------------------------------------------------
-
-
-def norm_defect_table(f: CanonicalSymbol, m_list=DEFAULT_SWEEP, name: str = "norm_defect") -> ConvergenceTable:
-    sup = sup_norm(f)
-    return ConvergenceTable(name, [(m, norm_defect(f, m, sup)) for m in m_list])
-
-
-def dirac_defect_table(
-    f: CanonicalSymbol, g: CanonicalSymbol, m_list=DEFAULT_SWEEP, name: str = "dirac_defect"
-) -> ConvergenceTable:
-    return ConvergenceTable(name, [(m, dirac_defect(f, g, m)) for m in m_list])
-
-
-def sass_remainder_table(
-    f: CanonicalSymbol, g: CanonicalSymbol, order: int, m_list=DEFAULT_SWEEP, name: str | None = None
-) -> ConvergenceTable:
-    coeffs = product_coefficients(f, g, order)
-    name = name or f"product_remainder_n{order}"
-    return ConvergenceTable(name, [(m, sass_remainder(f, g, coeffs, m)) for m in m_list])
-
-
-def spectral_moment_table(
-    f: CanonicalSymbol, k: int, m_list=DEFAULT_SWEEP, name: str | None = None
-) -> ConvergenceTable:
-    limit = float(moment_limit(f, k).re)
-    name = name or f"moment_defect_k{k}"
-    return ConvergenceTable(name, [(m, abs(spectral_moment(f, m, k) - limit)) for m in m_list])
-
-
-def tuynman_defect_table(f: CanonicalSymbol, m_list=DEFAULT_SWEEP, name: str = "tuynman_defect") -> ConvergenceTable:
-    return ConvergenceTable(name, [(m, tuynman_defect(f, m)) for m in m_list])

@@ -25,18 +25,20 @@ from btlab.operators import (
     operator_norm,
     toeplitz_exact,
     toeplitz_quadrature,
+    trace_exact,
 )
-from btlab.runner import calibrate_laplacian_coeff, run as run_experiment
+from btlab.runner import Assembler, calibrate_laplacian_coeff, run as run_experiment
 from btlab.semiclassics import (
     DEFAULT_SWEEP,
-    dirac_defect_table,
+    dirac_defect,
     extract_tau,
     loglog_slope,
-    norm_defect_table,
+    moment_limit,
+    norm_defect,
+    product_coefficients,
     sass_remainder,
-    sass_remainder_table,
-    spectral_moment_table,
-    trace_exact_level,
+    spectral_moment,
+    sweep,
     tuynman_defect,
 )
 from btlab.starproduct import FormalSeries, b_inverse, b_map, c1, check_axioms, check_equivalence
@@ -90,7 +92,8 @@ def test_criterion_02_norm_approximation():
     c_values = []
     for seed_f, _ in PAIR_SEEDS:
         f = rand(seed_f, SWEEP_MAX_R)
-        table = norm_defect_table(f, DEFAULT_SWEEP)
+        sup = sup_norm(f)
+        table = sweep("norm_defect", DEFAULT_SWEEP, lambda m: norm_defect(f, m, sup), 1)
         ok = ok and all(d >= -1e-9 for d in table.values())
         c_values.append(max(m * d for m, d in table.records))
     ok = ok and all(np.isfinite(c) for c in c_values)
@@ -101,7 +104,8 @@ def test_criterion_03_commutator_rate():
     slopes = []
     ok = True
     for seed_f, seed_g in PAIR_SEEDS:
-        table = dirac_defect_table(rand(seed_f, SWEEP_MAX_R), rand(seed_g, SWEEP_MAX_R), DEFAULT_SWEEP)
+        f, g = rand(seed_f, SWEEP_MAX_R), rand(seed_g, SWEEP_MAX_R)
+        table = sweep("dirac_defect", DEFAULT_SWEEP, lambda m: dirac_defect(f, g, m), 1)
         fit = loglog_slope(table)
         if not fit.exact_identity:
             slopes.append(fit.slope)
@@ -109,13 +113,22 @@ def test_criterion_03_commutator_rate():
     announce(3, ok, f"dirac defect slopes {['%.2f' % s for s in slopes]} all <= -0.85")
 
 
+def remainder_fit(f, g, order: int, toeplitz):
+    coeffs = product_coefficients(f, g, order)
+    table = sweep(
+        f"product_remainder_n{order}", DEFAULT_SWEEP, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=toeplitz), 1
+    )
+    return loglog_slope(table)
+
+
 def test_criterion_04_product_expansion_rate():
     ok = True
     s1, s2 = [], []
     for seed_f, seed_g in PAIR_SEEDS:
         f, g = rand(seed_f, SWEEP_MAX_R), rand(seed_g, SWEEP_MAX_R)
-        fit1 = loglog_slope(sass_remainder_table(f, g, 1, DEFAULT_SWEEP))
-        fit2 = loglog_slope(sass_remainder_table(f, g, 2, DEFAULT_SWEEP))
+        toeplitz = Assembler(None).toeplitz  # both orders share T_f, T_g and T_fg
+        fit1 = remainder_fit(f, g, 1, toeplitz)
+        fit2 = remainder_fit(f, g, 2, toeplitz)
         if not fit1.exact_identity:
             s1.append(fit1.slope)
             ok = ok and fit1.slope <= -0.85
@@ -170,7 +183,7 @@ def test_criterion_07_trace():
         f = rand(1000 + i)
         avg = average(f)
         for m in (2, 3, 5, 8, 13):
-            ok = ok and trace_exact_level(f, m) == QC(m + 1) * avg
+            ok = ok and trace_exact(toeplitz_exact(f, m)) == QC(m + 1) * avg
         tau0, tau1 = extract_tau(f, (2, 3, 5, 8, 13))
         ok = ok and tau0 == avg == tau1
     # the leading coefficient realizes 1/vol(P^1): Tr(id) = m + 1 gives tau0 = 1
@@ -182,8 +195,16 @@ def test_criterion_08_spectral_moments():
     ok = True
     outcomes = []
     for f, name in ((F0, "height"), (G0, "xcoord")):
+        toeplitz = Assembler(None).toeplitz  # the three moments share T_f
         for k in (1, 2, 3):
-            fit = loglog_slope(spectral_moment_table(f, k, DEFAULT_SWEEP))
+            limit = float(moment_limit(f, k).re)
+            table = sweep(
+                f"moment_defect_k{k}",
+                DEFAULT_SWEEP,
+                lambda m: abs(spectral_moment(f, m, k, toeplitz=toeplitz) - limit),
+                1,
+            )
+            fit = loglog_slope(table)
             if fit.exact_identity:
                 outcomes.append(f"{name},k={k}: exact")
             else:

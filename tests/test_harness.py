@@ -1,6 +1,7 @@
 """Config parsing, matrix cache, runner determinism, CLI exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,14 @@ def test_parse_rejects_slope_checks_with_short_sweep(tmp_path):
         parse_config(write_cfg(tmp_path, bad))
 
 
+def test_readme_demo_config_parses_with_real_symbols(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(write_cfg(tmp_path, block))
+    assert cfg.active == ["height", "bump"]
+    assert all(f.is_real for f in cfg.symbols.values())
+
+
 def test_parse_rejects_ini_syntax_garbage(tmp_path):
     with pytest.raises(ParseError):
         parse_config(write_cfg(tmp_path, "not an ini file at all\n===\n"))
@@ -136,7 +145,7 @@ def test_cache_roundtrip_is_exact(tmp_path):
     again = cache.load(symbol_hash(f), "toeplitz", 8)
     assert again is not None
     assert np.max(np.abs(again.entries - mat.entries)) == 0.0
-    assert again.provenance == mat.provenance
+    assert again.provenance == "cached" and again.kernel is None
 
 
 def test_cache_miss_returns_none(tmp_path):
@@ -242,6 +251,15 @@ def test_runs_are_byte_identical_and_cache_transparent(tmp_path):
     for name, outcome in report1.checks.items():
         for t1, t2 in zip(outcome.tables, report2.checks[name].tables):
             assert t1.records == t2.records
+
+
+def test_checks_share_one_memo(tmp_path):
+    text = MINIMAL.replace("checks = norms", "checks = norms, spectrum, trace")
+    cfg = parse_config(write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")))
+    cfg.output = tmp_path / "out"
+    report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
+    assert code == 0
+    assert report.counters["assemblies"] == 4  # one T_height per level, shared by all three checks
 
 
 def test_parallel_sweeps_are_order_normalized(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from btlab.errors import DegenerateTable, UnknownCoefficientOrder
 from btlab.exact import QC
-from btlab.operators import compose_exact, lincomb_exact, toeplitz_exact
+from btlab.operators import compose_exact, lincomb_exact, toeplitz_exact, trace_exact
 from btlab.semiclassics import (
     ConvergenceTable,
     dirac_defect,
@@ -17,7 +17,6 @@ from btlab.semiclassics import (
     product_coefficients,
     sass_remainder,
     spectral_moment,
-    trace_exact_level,
     trace_sequence,
     tuynman_defect,
 )
@@ -121,8 +120,8 @@ def test_sass_remainder_rejects_unknown_orders(height):
 
 def test_trace_closed_forms(height, one):
     for m in (1, 4, 9):
-        assert trace_exact_level(height, m) == QC(Fraction(m + 1, 2))
-        assert trace_exact_level(one, m) == QC(m + 1)
+        assert trace_exact(toeplitz_exact(height, m)) == QC(Fraction(m + 1, 2))
+        assert trace_exact(toeplitz_exact(one, m)) == QC(m + 1)
 
 
 def test_extract_tau(height, one):
