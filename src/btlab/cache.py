@@ -1,25 +1,29 @@
 """On-disk matrix cache, keyed by (source hash, kind, level).
 
-Files are plain text with a checksummed data block; every entry is written
-with 17 significant digits so the reload reproduces the stored floats bit
-for bit.  Any header or checksum mismatch raises CacheCorruption; callers
-recompute and overwrite.
+Files are plain text: a header tagged with the format line
+``btlab-matrix 2``, then a checksummed block with one line ``j k re im`` per
+nonzero entry of the exact kernel, where ``re`` and ``im`` are ``Fraction``
+strings.  A load rebuilds the matrix from that kernel exactly as a fresh
+assembly does, so a hit is the same matrix: provenance "exact", an equal
+kernel and bit-equal float entries.  Any header, checksum, count or index
+mismatch, including a file in an older format, raises CacheCorruption;
+callers recompute and overwrite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CacheCorruption
-from .operators import OperatorMatrix
+from .exact import QC
+from .operators import OperatorMatrix, from_kernel
 from .symbols import ChartRational
 
 CACHE_ENV = "BTLAB_CACHE_DIR"
-_MAGIC = "btlab-matrix 1"
+_MAGIC = "btlab-matrix 2"
 
 
 def default_cache_root() -> Path:
@@ -45,14 +49,10 @@ class MatrixCache:
         return self.root / f"{kind}-m{m}-{source[:32]}.mat"
 
     def store(self, mat: OperatorMatrix, source: str, kind: str) -> Path:
+        if mat.kernel is None:
+            raise ValueError(f"cannot cache {mat.source!r} ({mat.provenance}): no exact kernel")
         self.root.mkdir(parents=True, exist_ok=True)
-        n = mat.m + 1
-        lines = []
-        for j in range(n):
-            for k in range(n):
-                v = mat.entries[j, k]
-                lines.append(f"{j} {k} {v.real:.17e} {v.imag:.17e}")
-        block = "\n".join(lines)
+        block = "\n".join(f"{j} {k} {v.re} {v.im}" for (j, k), v in sorted(mat.kernel.items()))
         checksum = hashlib.sha256(block.encode()).hexdigest()
         header = "\n".join(
             [
@@ -60,9 +60,8 @@ class MatrixCache:
                 f"kind {kind}",
                 f"m {mat.m}",
                 f"source {source}",
-                f"provenance {mat.provenance}",
                 f"checksum {checksum}",
-                f"entries {n * n}",
+                f"entries {len(mat.kernel)}",
             ]
         )
         path = self.path_for(source, kind, mat.m)
@@ -72,11 +71,7 @@ class MatrixCache:
         return path
 
     def load(self, source: str, kind: str, m: int) -> OperatorMatrix | None:
-        """The cached matrix, or None on a cache miss.
-
-        The file holds floats only, so a hit has no exact kernel and its
-        provenance is "cached", whatever the stored matrix was.
-        """
+        """The cached matrix, or None on a cache miss."""
         path = self.path_for(source, kind, m)
         if not path.exists():
             return None
@@ -85,29 +80,31 @@ class MatrixCache:
             if lines[0] != _MAGIC:
                 raise CacheCorruption(f"{path}: bad magic line")
             header = {}
-            for line in lines[1:6]:
+            for line in lines[1:5]:
                 key, _, value = line.partition(" ")
                 header[key] = value
-            count = int(lines[6].split()[1])
+            count = int(lines[5].split()[1])
             expected = {"kind": kind, "m": str(m), "source": source}
             for key, want in expected.items():
                 if header.get(key) != want:
                     raise CacheCorruption(f"{path}: header {key} mismatch")
-            block = "\n".join(lines[7 : 7 + count])
+            block = "\n".join(lines[6 : 6 + count])
             if hashlib.sha256(block.encode()).hexdigest() != header.get("checksum"):
                 raise CacheCorruption(f"{path}: checksum mismatch")
-            data = block.splitlines()
-            if len(data) != count or count != (m + 1) ** 2:
-                raise CacheCorruption(f"{path}: entry count mismatch")
-            entries = np.empty((m + 1, m + 1), dtype=complex)
-            for line in data:
+            kernel = {}
+            for line in block.splitlines():
                 j_s, k_s, re_s, im_s = line.split()
-                entries[int(j_s), int(k_s)] = complex(float(re_s), float(im_s))
+                j, k = int(j_s), int(k_s)
+                if not (0 <= j <= m and 0 <= k <= m):
+                    raise CacheCorruption(f"{path}: index ({j}, {k}) out of range for level {m}")
+                kernel[j, k] = QC(Fraction(re_s), Fraction(im_s))
+            if len(kernel) != count:
+                raise CacheCorruption(f"{path}: entry count mismatch")
         except CacheCorruption:
             raise
         except Exception as exc:
             raise CacheCorruption(f"{path}: unreadable ({exc})") from exc
-        return OperatorMatrix(m, entries, "cached", source)
+        return from_kernel(kernel, m, "exact", source)
 
     def clear(self) -> int:
         if not self.root.exists():

@@ -10,7 +10,7 @@ Grammar (see README for a complete example)::
     symbols = height, bump      # optional active subset, defaults to all
     seed = 7                    # optional, drives random draws in checks
     slope_window = 0.15         # optional slope tolerance
-    identity_tol = 1e-10        # optional tolerance for identity checks
+    identity_tol = 1e-10        # optional tolerance of the Laplacian calibration
     output = runs/smoke         # optional report directory
 
     [symbol bump]               # one section per named symbol

@@ -8,14 +8,20 @@ result so identities can be checked with no tolerance at all.
 
 For a numerator monomial z^a zbar^b over (1+t)^R paired between z^j and
 z^k, the angular integral enforces a + k = b + j and the radial integral is
-B(s+1, m+R+1-s) with s = (a+b+j+k)/2.
+B(s+1, m+R+1-s) with s = (a+b+j+k)/2.  By that U(1) selection rule a
+symbol of exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a
+kernel is a read-only map (j, k) -> QC holding only its nonzero entries;
+an absent key is an exact zero.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .exact import QC, QC_I
 from .hilbert import basis_norm_sq, dimension
 from .symbols import CanonicalSymbol, ChartRational, hamiltonian_field
 
-Kernel = tuple[tuple[QC, ...], ...]
+Kernel = Mapping[tuple[int, int], QC]
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +38,11 @@ class OperatorMatrix:
     """A dense operator on the level-m section space.
 
     ``entries`` is the matrix in the orthonormal basis; ``kernel``, when
-    present, is the exact matrix in the unnormalized monomial basis (the
-    two are conjugate by the diagonal of basis norms).
+    present, is the exact matrix in the unnormalized monomial basis as a
+    read-only map (j, k) -> QC of its nonzero entries (the two are
+    conjugate by the diagonal of basis norms).  Exact matrices, freshly
+    assembled or loaded from the disk cache, carry provenance "exact" and
+    a kernel; quadrature matrices have none.
     """
 
     m: int
@@ -49,18 +58,18 @@ class OperatorMatrix:
         self.entries.flags.writeable = False
 
 
-def _entries_from_kernel(kernel: Kernel, m: int) -> np.ndarray:
+def from_kernel(kernel: Kernel, m: int, provenance: str, source: str) -> OperatorMatrix:
+    """The matrix of an exact kernel given as a map (j, k) -> QC.
+
+    Zero values are dropped, so equal operators have equal kernels; the
+    float entries are filled from the nonzero ones.
+    """
+    frozen = MappingProxyType({key: v for key, v in kernel.items() if v})
     scale = [sqrt(float(basis_norm_sq(m, j))) for j in range(m + 1)]
-    out = np.empty((m + 1, m + 1), dtype=complex)
-    for j in range(m + 1):
-        for k in range(m + 1):
-            out[j, k] = complex(kernel[j][k]) * (scale[j] / scale[k])
-    return out
-
-
-def _from_kernel(kernel: list[list[QC]], m: int, provenance: str, source: str) -> OperatorMatrix:
-    frozen = tuple(tuple(row) for row in kernel)
-    return OperatorMatrix(m, _entries_from_kernel(frozen, m), provenance, source, frozen)
+    entries = np.zeros((m + 1, m + 1), dtype=complex)
+    for (j, k), v in frozen.items():
+        entries[j, k] = complex(v) * (scale[j] / scale[k])
+    return OperatorMatrix(m, entries, provenance, source, frozen)
 
 
 def _radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:
@@ -71,16 +80,12 @@ def _radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:
     return Fraction((m + 1) * comb(m, j), (x + 1) * comb(x, s))
 
 
-def _zero_kernel(m: int) -> list[list[QC]]:
-    return [[QC(0)] * (m + 1) for _ in range(m + 1)]
-
-
 def toeplitz_exact(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatrix:
     """The Toeplitz operator of f at level m: compress multiplication by f
     onto holomorphic sections.  Exact rational assembly."""
     if m < 0:
         raise ValueError("level m must be >= 0")
-    kernel = _zero_kernel(m)
+    kernel: dict[tuple[int, int], QC] = {}
     r = f.denom_exp
     for (a, b), c in f.terms.items():
         for k in range(m + 1):
@@ -88,8 +93,8 @@ def toeplitz_exact(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatr
             if not 0 <= j <= m:
                 continue
             s = (a + b + j + k) // 2
-            kernel[j][k] = kernel[j][k] + c * _radial_fraction(m, r, j, s)
-    return _from_kernel(kernel, m, "exact", source or f"symbol({f!r})")
+            kernel[j, k] = kernel.get((j, k), QC(0)) + c * _radial_fraction(m, r, j, s)
+    return from_kernel(kernel, m, "exact", source or f"symbol({f!r})")
 
 
 def pairing_kernel_column(g: ChartRational, m: int) -> list[QC]:
@@ -119,17 +124,17 @@ def prequantum_geometric(f: CanonicalSymbol, m: int, source: str = "") -> Operat
     if not f.is_real:
         raise ValueError("prequantum_geometric requires a real symbol")
     xz = hamiltonian_field(f).comp_z.scale(Fraction(1, m))
-    kernel = _zero_kernel(m)
+    kernel: dict[tuple[int, int], QC] = {}
     for k in range(m + 1):
         # P_f z^k = -X^z (k z^{k-1} - m z^k zbar/(1+t)) + i f z^k
         g = (f * ChartRational({(k, 0): QC(1)}, 0)).scale(QC_I)
         g = g + xz * ChartRational({(k, 1): QC(m)}, 1)
         if k:
             g = g + (xz * ChartRational({(k - 1, 0): QC(k)}, 0)).scale(-1)
-        col = pairing_kernel_column(g, m)
-        for j in range(m + 1):
-            kernel[j][k] = col[j]
-    return _from_kernel(kernel, m, "exact", source or f"prequantum({f!r})")
+        for j, v in enumerate(pairing_kernel_column(g, m)):
+            if v:
+                kernel[j, k] = v
+    return from_kernel(kernel, m, "exact", source or f"prequantum({f!r})")
 
 
 # -- quadrature path --------------------------------------------------------
@@ -239,12 +244,8 @@ def adjoint(x):
     if isinstance(x, OperatorMatrix):
         kernel = None
         if x.kernel is not None:
-            m = x.m
-            c = [basis_norm_sq(m, j) for j in range(m + 1)]
-            kernel = tuple(
-                tuple(x.kernel[k][j].conjugate() * Fraction(c[k], c[j]) for k in range(m + 1))
-                for j in range(m + 1)
-            )
+            c = [basis_norm_sq(x.m, j) for j in range(x.m + 1)]
+            kernel = MappingProxyType({(k, j): v.conjugate() * (c[j] / c[k]) for (j, k), v in x.kernel.items()})
         return OperatorMatrix(x.m, x.entries.conj().T.copy(), x.provenance, f"adjoint({x.source})", kernel)
     return _as_array(x).conj().T
 
@@ -264,49 +265,36 @@ def _require_kernels(*mats: OperatorMatrix) -> int:
 
 def compose_exact(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     m = _require_kernels(a, b)
-    n = m + 1
-    kernel = _zero_kernel(m)
-    for j in range(n):
-        row = a.kernel[j]
-        for l in range(n):
-            alj = row[l]
-            if not alj:
-                continue
-            brow = b.kernel[l]
-            for k in range(n):
-                if brow[k]:
-                    kernel[j][k] = kernel[j][k] + alj * brow[k]
-    return _from_kernel(kernel, m, "exact", f"({a.source})*({b.source})")
+    b_rows = defaultdict(list)
+    for (l, k), v in b.kernel.items():
+        b_rows[l].append((k, v))
+    kernel: dict[tuple[int, int], QC] = {}
+    for (j, l), alj in a.kernel.items():
+        for k, blk in b_rows[l]:
+            kernel[j, k] = kernel.get((j, k), QC(0)) + alj * blk
+    return from_kernel(kernel, m, "exact", f"({a.source})*({b.source})")
 
 
 def lincomb_exact(terms: list[tuple[QC | int | Fraction, OperatorMatrix]]) -> OperatorMatrix:
     m = _require_kernels(*[mat for _, mat in terms])
-    kernel = _zero_kernel(m)
+    kernel: dict[tuple[int, int], QC] = {}
     for coeff, mat in terms:
         c = QC.coerce(coeff)
-        for j in range(m + 1):
-            for k in range(m + 1):
-                if mat.kernel[j][k]:
-                    kernel[j][k] = kernel[j][k] + c * mat.kernel[j][k]
+        for key, v in mat.kernel.items():
+            kernel[key] = kernel.get(key, QC(0)) + c * v
     label = " + ".join(f"({mat.source})" for _, mat in terms)
-    return _from_kernel(kernel, m, "exact", label)
+    return from_kernel(kernel, m, "exact", label)
 
 
 def trace_exact(a: OperatorMatrix) -> QC:
-    m = _require_kernels(a)
-    total = QC(0)
-    for j in range(m + 1):
-        total = total + a.kernel[j][j]
-    return total
+    _require_kernels(a)
+    return sum((v for (j, k), v in a.kernel.items() if j == k), QC(0))
 
 
 def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    m = _require_kernels(a, b)
-    return all(a.kernel[j][k] == b.kernel[j][k] for j in range(m + 1) for k in range(m + 1))
+    _require_kernels(a, b)
+    return a.kernel == b.kernel
 
 
 def identity_exact(m: int) -> OperatorMatrix:
-    kernel = _zero_kernel(m)
-    for j in range(m + 1):
-        kernel[j][j] = QC(1)
-    return _from_kernel(kernel, m, "exact", "id")
+    return from_kernel({(j, j): QC(1) for j in range(m + 1)}, m, "exact", "id")

@@ -29,8 +29,8 @@ from . import __version__
 from .cache import MatrixCache, symbol_hash
 from .config import ExperimentConfig
 from .errors import CacheCorruption
-from .exact import QC
-from .operators import OperatorMatrix, prequantum_geometric, toeplitz_exact
+from .exact import QC, QC_I
+from .operators import OperatorMatrix, equal_exact, lincomb_exact, prequantum_geometric, toeplitz_exact, trace_exact
 from .semiclassics import (
     EXACT_ZERO_TOL,
     ConvergenceTable,
@@ -43,6 +43,7 @@ from .semiclassics import (
     moment_limit,
     sweep,
     tuynman_defect,
+    tuynman_operands,
 )
 from .starproduct import FormalSeries, b_inverse, b_map, check_axioms, check_equivalence
 from .symbols import (
@@ -230,25 +231,13 @@ def _check_product(
 
 def _check_trace(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
     tables, details, ok = [], {}, True
-    tol = cfg.identity_tol
     for name, f in cfg.active_symbols():
-        avg = float(average(f).re)
+        avg = average(f)
         table = sweep(name, cfg.m_list, lambda m, f=f: float(np.trace(assembler.toeplitz(f, m).entries).real), jobs)
         tables.append(table)
-        worst = max(abs(tr - (m + 1) * avg) for m, tr in table.records)
-        ms = np.array([m for m, _ in table.records], dtype=float)
-        trs = np.array(table.values())
-        tau0, tau1 = np.polyfit(ms, trs, 1)
-        residual = float(np.max(np.abs(tau0 * ms + tau1 - trs)))
-        sym_ok = worst <= tol and residual <= tol and abs(tau0 - avg) <= tol and abs(tau1 - avg) <= tol
-        ok = ok and sym_ok
-        details[name] = {
-            "average": avg,
-            "tau0": float(tau0),
-            "tau1": float(tau1),
-            "max_identity_defect": worst,
-            "fit_residual": residual,
-        }
+        exact = all(trace_exact(assembler.toeplitz(f, m)) == QC(m + 1) * avg for m in cfg.m_list)
+        ok = ok and exact
+        details[name] = {"average": float(avg.re), "exact": exact}
     return CheckOutcome("trace", "pass" if ok else "fail", tables, details)
 
 
@@ -285,11 +274,15 @@ def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> Ch
             jobs,
         )
         tables.append(table)
-        worst = max(table.values())
-        if worst > cfg.identity_tol:
-            ok = False
-        details[name] = {"max_defect": worst}
+        exact = all(_tuynman_holds(f, m, assembler) for m in cfg.m_list)
+        ok = ok and exact
+        details[name] = {"max_defect": max(table.values()), "exact": exact}
     return CheckOutcome("tuynman", "pass" if ok else "fail", tables, details)
+
+
+def _tuynman_holds(f: CanonicalSymbol, m: int, assembler: Assembler) -> bool:
+    q, rhs = tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
+    return equal_exact(q, lincomb_exact([(QC_I, rhs)]))
 
 
 def _random_pool(cfg: ExperimentConfig, count: int) -> list[CanonicalSymbol]:

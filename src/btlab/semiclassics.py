@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateTable, UnknownCoefficientOrder
 from .exact import QC
 from .operators import (
+    OperatorMatrix,
     commutator,
     hermitian_eigenvalues,
     operator_norm,
@@ -132,10 +133,17 @@ def product_coefficients(f: CanonicalSymbol, g: CanonicalSymbol, order: int) -> 
     raise UnknownCoefficientOrder(f"no closed-form coefficients beyond order 2 (got {order})")
 
 
+def tuynman_operands(
+    f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequantum=prequantum_geometric
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """(Q_f, T_{f - Delta f/(2m)}): Tuynman's identity says Q_f = i T_{f - Delta f/(2m)}."""
+    return prequantum(f, m), toeplitz(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
+
+
 def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequantum=prequantum_geometric) -> float:
     """|| Q_f - i T_{f - Delta f/(2m)} ||; identically zero for this model."""
-    rhs = toeplitz(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
-    return operator_norm(prequantum(f, m).entries - 1j * rhs.entries)
+    q, rhs = tuynman_operands(f, m, toeplitz, prequantum)
+    return operator_norm(q.entries - 1j * rhs.entries)
 
 
 def spectral_moment(f: CanonicalSymbol, m: int, k: int, toeplitz=toeplitz_exact) -> float:

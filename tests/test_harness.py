@@ -1,7 +1,9 @@
 """Config parsing, matrix cache, runner determinism, CLI exit codes."""
 
+import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +147,7 @@ def test_cache_roundtrip_is_exact(tmp_path):
     again = cache.load(symbol_hash(f), "toeplitz", 8)
     assert again is not None
     assert np.max(np.abs(again.entries - mat.entries)) == 0.0
-    assert again.provenance == "cached" and again.kernel is None
+    assert again.provenance == "exact" and again.kernel == mat.kernel
 
 
 def test_cache_miss_returns_none(tmp_path):
@@ -155,8 +157,8 @@ def test_cache_miss_returns_none(tmp_path):
 
 def _tamper_first_entry(path: Path) -> None:
     lines = path.read_text().splitlines()
-    j, k, re_s, im_s = lines[7].split()
-    lines[7] = f"{j} {k} {float(re_s) + 0.125:.17e} {im_s}"
+    j, k, re_s, im_s = lines[6].split()
+    lines[6] = f"{j} {k} {Fraction(re_s) + Fraction(1, 8)} {im_s}"
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -179,6 +181,45 @@ def test_assembler_recovers_from_corruption(tmp_path, capsys):
     assert asm.cache_corruptions == 1 and asm.assemblies == 1
     assert np.max(np.abs(mat.entries - toeplitz_exact(f, 4).entries)) == 0.0
     assert "recomputing" in capsys.readouterr().err
+
+
+def test_cache_rejects_out_of_range_index(tmp_path):
+    f = sphere_height()
+    cache = MatrixCache(tmp_path / "cache")
+    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    lines = path.read_text().splitlines()
+    _, _, re_s, im_s = lines[6].split()
+    lines[6] = f"5 0 {re_s} {im_s}"
+    block = "\n".join(lines[6:])
+    lines[4] = f"checksum {hashlib.sha256(block.encode()).hexdigest()}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheCorruption, match="out of range"):
+        cache.load(symbol_hash(f), "toeplitz", 4)
+
+
+def test_assembler_recomputes_float_format_file(tmp_path):
+    f = sphere_height()
+    mat = toeplitz_exact(f, 4)
+    cache = MatrixCache(tmp_path / "cache")
+    block = "\n".join(f"{j} {k} {v.real:.17e} {v.imag:.17e}" for (j, k), v in np.ndenumerate(mat.entries))
+    header = [
+        "btlab-matrix 1",
+        "kind toeplitz",
+        "m 4",
+        f"source {symbol_hash(f)}",
+        "provenance exact",
+        f"checksum {hashlib.sha256(block.encode()).hexdigest()}",
+        "entries 25",
+    ]
+    cache.root.mkdir(parents=True)
+    cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
+    with pytest.raises(CacheCorruption):
+        cache.load(symbol_hash(f), "toeplitz", 4)
+    asm = Assembler(cache)
+    again = asm.toeplitz(f, 4)
+    assert asm.cache_corruptions == 1 and asm.assemblies == 1
+    assert again.kernel == mat.kernel
+    assert cache.load(symbol_hash(f), "toeplitz", 4).kernel == mat.kernel
 
 
 def test_assembler_counts_hits(tmp_path):
@@ -248,6 +289,8 @@ def test_runs_are_byte_identical_and_cache_transparent(tmp_path):
     assert csv1 == csv2
     assert report2.counters["assemblies"] == 0
     assert report2.counters["cache_hits"] > 0
+    for name in ("trace", "tuynman"):  # decided on the exact kernels that the cache hits carry
+        assert all(d["exact"] for d in report2.checks[name].details.values())
     for name, outcome in report1.checks.items():
         for t1, t2 in zip(outcome.tables, report2.checks[name].tables):
             assert t1.records == t2.records
