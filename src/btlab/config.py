@@ -194,8 +194,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError("[experiment]: tolerances must be nonnegative")
 
     name = exp.get("name", path.stem)
-    if "tuynman" in checks and any(m < 1 for m in m_list):
-        raise ValidationError("tuynman check requires all levels m >= 1")
     slope_checks = [c for c in checks if c in ("dirac", "product", "sass2", "spectrum")]
     if slope_checks and len(m_list) < 4:
         raise ValidationError(f"checks {slope_checks} fit slopes and need at least 4 levels in m_list")

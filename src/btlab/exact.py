@@ -47,6 +47,8 @@ class QC:
         return QC.coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QC(self.re * other, self.im * other)
         other = QC.coerce(other)
         return QC(
             self.re * other.re - self.im * other.im,
@@ -97,8 +99,6 @@ class QC:
         return f"QC({self.re!r}, {self.im!r})"
 
 
-QC_ZERO = QC(0)
-QC_ONE = QC(1)
 QC_I = QC(0, 1)
 
 

@@ -7,11 +7,13 @@ to floating point once at the end; that rational kernel is kept on the
 result so identities can be checked with no tolerance at all.
 
 For a numerator monomial z^a zbar^b over (1+t)^R paired between z^j and
-z^k, the angular integral enforces a + k = b + j and the radial integral is
-B(s+1, m+R+1-s) with s = (a+b+j+k)/2.  By that U(1) selection rule a
-symbol of exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a
-kernel is a read-only map (j, k) -> QC holding only its nonzero entries;
-an absent key is an exact zero.
+z^k, the angular integral enforces j = a + k - b and the radial integral is
+B(s+1, m+R+1-s) with s = a + k.  By that U(1) selection rule a symbol of
+exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a kernel is a
+read-only map (j, k) -> QC holding only its nonzero entries; an absent key
+is an exact zero.  Assembly is banded: each monomial fills its one diagonal
+from the binomial rows C(m, .) and C(m+R, .), computed once per level by
+recurrence, with one rational per entry and no symbolic product.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from itertools import accumulate
+from math import sqrt
 from types import MappingProxyType
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import QuadratureBudgetTooSmall, ShapeMismatch
 from .exact import QC, QC_I
 from .hilbert import basis_norm_sq, dimension
-from .symbols import CanonicalSymbol, ChartRational, hamiltonian_field
+from .symbols import CanonicalSymbol, hamiltonian_field
 
 Kernel = Mapping[tuple[int, int], QC]
 
@@ -65,19 +68,37 @@ def from_kernel(kernel: Kernel, m: int, provenance: str, source: str) -> Operato
     float entries are filled from the nonzero ones.
     """
     frozen = MappingProxyType({key: v for key, v in kernel.items() if v})
-    scale = [sqrt(float(basis_norm_sq(m, j))) for j in range(m + 1)]
+    scale = [sqrt(float(Fraction(1, (m + 1) * c))) for c in _binomial_row(m)]  # sqrt(basis_norm_sq(m, j))
     entries = np.zeros((m + 1, m + 1), dtype=complex)
     for (j, k), v in frozen.items():
         entries[j, k] = complex(v) * (scale[j] / scale[k])
     return OperatorMatrix(m, entries, provenance, source, frozen)
 
 
-def _radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:
-    # B(s+1, m+r+1-s) / ||z^j||^2, both in units of 2*pi
-    x = m + r
-    if s > x:
-        raise ValueError(f"non-integrable pairing: s={s} exceeds m+R={x}")
-    return Fraction((m + 1) * comb(m, j), (x + 1) * comb(x, s))
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n) by the multiplicative recurrence."""
+    return list(accumulate(range(n), lambda c, i: c * (n - i) // (i + 1), initial=1))
+
+
+def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
+    """The exact kernel <z^j, g_k> / (2*pi ||z^j||^2) of columns g_k summed from
+    ``families`` (terms, r, by_k): each term (a, b) -> c adds c z^(a+k) zbar^b / (1+t)^r,
+    times k if ``by_k``, on the diagonal j = a + k - b only, with the Beta-integral
+    value c (m+1) C(m,j) / ((x+1) C(x,s)), x = m + r, s = a + k."""
+    kernel: dict[tuple[int, int], QC] = {}
+    cm = _binomial_row(m)
+    for terms, r, by_k in families:
+        x, cx = m + r, _binomial_row(m + r)
+        for (a, b), c in terms.items():
+            lo, hi = max(0, b - a), min(m, m + b - a)
+            if lo <= hi and a + hi > x:
+                raise ValueError(f"non-integrable pairing: s={max(a + lo, x + 1)} exceeds m+R={x}")
+            for k in range(max(lo, 1) if by_k else lo, hi + 1):
+                j = a + k - b
+                rho = Fraction((m + 1) * cm[j] * (k if by_k else 1), (x + 1) * cx[a + k])
+                v = QC(c.re * rho, c.im * rho)
+                kernel[j, k] = kernel[j, k] + v if (j, k) in kernel else v
+    return kernel
 
 
 def toeplitz_exact(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatrix:
@@ -85,29 +106,7 @@ def toeplitz_exact(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatr
     onto holomorphic sections.  Exact rational assembly."""
     if m < 0:
         raise ValueError("level m must be >= 0")
-    kernel: dict[tuple[int, int], QC] = {}
-    r = f.denom_exp
-    for (a, b), c in f.terms.items():
-        for k in range(m + 1):
-            j = a + k - b
-            if not 0 <= j <= m:
-                continue
-            s = (a + b + j + k) // 2
-            kernel[j, k] = kernel.get((j, k), QC(0)) + c * _radial_fraction(m, r, j, s)
-    return from_kernel(kernel, m, "exact", source or f"symbol({f!r})")
-
-
-def pairing_kernel_column(g: ChartRational, m: int) -> list[QC]:
-    """<z^j, g> / (2*pi * ||z^j||^2) for j = 0..m, exact."""
-    col = [QC(0)] * (m + 1)
-    r = g.denom_exp
-    for (a, b), c in g.terms.items():
-        j = a - b
-        if not 0 <= j <= m:
-            continue
-        s = (a + b + j) // 2
-        col[j] = col[j] + c * _radial_fraction(m, r, j, s)
-    return col
+    return from_kernel(_banded_kernel(m, [(f.terms, f.denom_exp, False)]), m, "exact", source or f"symbol({f!r})")
 
 
 def prequantum_geometric(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatrix:
@@ -117,24 +116,20 @@ def prequantum_geometric(f: CanonicalSymbol, m: int, source: str = "") -> Operat
     holomorphic sections, where X is the Hamiltonian field of f for the
     level-m form m*omega (so X = X_f/m in the chart) and nabla acts on a
     holomorphic section as X^z (d/dz + m dlog(hhat)/dz) with
-    dlog(hhat)/dz = -zbar/(1+t).
+    dlog(hhat)/dz = -zbar/(1+t).  So
+    P_f z^k = i f z^k + m X^z z^k zbar/(1+t) - k X^z z^(k-1).
     """
     if m < 1:
         raise ValueError("level m must be >= 1")
     if not f.is_real:
         raise ValueError("prequantum_geometric requires a real symbol")
-    xz = hamiltonian_field(f).comp_z.scale(Fraction(1, m))
-    kernel: dict[tuple[int, int], QC] = {}
-    for k in range(m + 1):
-        # P_f z^k = -X^z (k z^{k-1} - m z^k zbar/(1+t)) + i f z^k
-        g = (f * ChartRational({(k, 0): QC(1)}, 0)).scale(QC_I)
-        g = g + xz * ChartRational({(k, 1): QC(m)}, 1)
-        if k:
-            g = g + (xz * ChartRational({(k - 1, 0): QC(k)}, 0)).scale(-1)
-        for j, v in enumerate(pairing_kernel_column(g, m)):
-            if v:
-                kernel[j, k] = v
-    return from_kernel(kernel, m, "exact", source or f"prequantum({f!r})")
+    xz = hamiltonian_field(f).comp_z  # m X^z
+    families = [
+        ({key: QC_I * c for key, c in f.terms.items()}, f.denom_exp, False),
+        ({(a, b + 1): c for (a, b), c in xz.terms.items()}, xz.denom_exp + 1, False),
+        ({(a - 1, b): c * Fraction(-1, m) for (a, b), c in xz.terms.items()}, xz.denom_exp, True),
+    ]
+    return from_kernel(_banded_kernel(m, families), m, "exact", source or f"prequantum({f!r})")
 
 
 # -- quadrature path --------------------------------------------------------
@@ -153,8 +148,8 @@ def _eval_on_grid(fn, z: np.ndarray) -> np.ndarray:
         vals = np.asarray(fn(z), dtype=complex)
         if vals.shape == z.shape:
             return vals
-    except Exception:
-        pass
+    except (TypeError, ValueError):
+        pass  # not vectorised: evaluate node by node below
     return np.vectorize(lambda p: complex(fn(p)))(z)
 
 
@@ -219,8 +214,9 @@ def _as_array(x) -> np.ndarray:
 
 
 def operator_norm(x) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(_as_array(x), 2))
+    """Largest singular value; exactly 0.0, with no SVD, for a zero matrix."""
+    arr = _as_array(x)
+    return float(np.linalg.norm(arr, 2)) if arr.any() else 0.0
 
 
 def hermitian_eigenvalues(x, herm_tol: float = 1e-9) -> np.ndarray:
@@ -244,8 +240,8 @@ def adjoint(x):
     if isinstance(x, OperatorMatrix):
         kernel = None
         if x.kernel is not None:
-            c = [basis_norm_sq(x.m, j) for j in range(x.m + 1)]
-            kernel = MappingProxyType({(k, j): v.conjugate() * (c[j] / c[k]) for (j, k), v in x.kernel.items()})
+            c = _binomial_row(x.m)  # basis_norm_sq(m, j) / basis_norm_sq(m, k) = C(m, k) / C(m, j)
+            kernel = MappingProxyType({(k, j): v.conjugate() * Fraction(c[k], c[j]) for (j, k), v in x.kernel.items()})
         return OperatorMatrix(x.m, x.entries.conj().T.copy(), x.provenance, f"adjoint({x.source})", kernel)
     return _as_array(x).conj().T
 

@@ -14,8 +14,8 @@ error, 3 internal error (the CLI maps exceptions to 2/3).
 
 from __future__ import annotations
 
+import logging
 import re
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,7 +30,8 @@ from .cache import MatrixCache, symbol_hash
 from .config import ExperimentConfig
 from .errors import CacheCorruption
 from .exact import QC, QC_I
-from .operators import OperatorMatrix, equal_exact, lincomb_exact, prequantum_geometric, toeplitz_exact, trace_exact
+from .operators import OperatorMatrix, equal_exact, hermitian_eigenvalues, lincomb_exact, trace_exact
+from .operators import prequantum_geometric, toeplitz_exact
 from .semiclassics import (
     EXACT_ZERO_TOL,
     ConvergenceTable,
@@ -60,35 +61,36 @@ NORM_CONTRACTION_TOL = 1e-9
 
 
 class Assembler:
-    """Cache-aware matrix factory with hit/assembly counters."""
+    """Cache-aware matrix factory with hit/assembly counters; spectra are memoized, never cached or counted."""
 
     def __init__(self, cache: MatrixCache | None):
         self.cache = cache
         self.assemblies = 0
         self.cache_hits = 0
         self.cache_corruptions = 0
-        self._memo: dict[tuple[str, str, int], OperatorMatrix] = {}
+        self._memo: dict[tuple[str, str, int], OperatorMatrix | np.ndarray] = {}
         self._lock = threading.Lock()
 
-    def _get(self, f: CanonicalSymbol, m: int, kind: str, build) -> OperatorMatrix:
+    def _get(self, f: CanonicalSymbol, m: int, kind: str, build, derived: bool = False):
         key = (symbol_hash(f), kind, m)
         with self._lock:
             if key in self._memo:
                 return self._memo[key]
         mat = None
-        if self.cache is not None:
+        if self.cache is not None and not derived:
             try:
                 mat = self.cache.load(key[0], kind, m)
             except CacheCorruption as exc:
-                print(f"warning: {exc}; recomputing", file=sys.stderr)
+                logging.getLogger("btlab").warning("%s; recomputing", exc)
                 with self._lock:
                     self.cache_corruptions += 1
         if mat is None:
             mat = build(f, m)
-            with self._lock:
-                self.assemblies += 1
-            if self.cache is not None:
-                self.cache.store(mat, key[0], kind)
+            if not derived:
+                with self._lock:
+                    self.assemblies += 1
+                if self.cache is not None:
+                    self.cache.store(mat, key[0], kind)
         else:
             with self._lock:
                 self.cache_hits += 1
@@ -101,6 +103,9 @@ class Assembler:
 
     def prequantum(self, f: CanonicalSymbol, m: int) -> OperatorMatrix:
         return self._get(f, m, "prequantum", prequantum_geometric)
+
+    def spectrum(self, f: CanonicalSymbol, m: int) -> np.ndarray:
+        return self._get(f, m, "spectrum", lambda f, m: hermitian_eigenvalues(self.toeplitz(f, m)), derived=True)
 
 
 @dataclass
@@ -250,7 +255,7 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> C
             table = sweep(
                 f"{name}-k{k}",
                 cfg.m_list,
-                lambda m, f=f, k=k, L=limit: abs(spectral_moment(f, m, k, toeplitz=assembler.toeplitz) - L),
+                lambda m, f=f, k=k, L=limit: abs(spectral_moment(f, m, k, spectrum=assembler.spectrum) - L),
                 jobs,
             )
             tables.append(table)

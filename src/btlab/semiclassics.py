@@ -146,11 +146,11 @@ def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequant
     return operator_norm(q.entries - 1j * rhs.entries)
 
 
-def spectral_moment(f: CanonicalSymbol, m: int, k: int, toeplitz=toeplitz_exact) -> float:
-    """(1/m) sum of the k-th powers of the level-m Toeplitz eigenvalues."""
+def spectral_moment(f: CanonicalSymbol, m: int, k: int, spectrum=None) -> float:
+    """(1/m) sum of the k-th powers of the level-m Toeplitz eigenvalues, from ``spectrum(f, m)`` if given."""
     if k < 1:
         raise ValueError("moment order k must be >= 1")
-    eigs = hermitian_eigenvalues(toeplitz(f, m))
+    eigs = spectrum(f, m) if spectrum is not None else hermitian_eigenvalues(toeplitz_exact(f, m))
     return float(np.sum(eigs**k) / m)
 
 

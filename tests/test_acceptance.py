@@ -195,13 +195,13 @@ def test_criterion_08_spectral_moments():
     ok = True
     outcomes = []
     for f, name in ((F0, "height"), (G0, "xcoord")):
-        toeplitz = Assembler(None).toeplitz  # the three moments share T_f
+        spectrum = Assembler(None).spectrum  # the three moments share one eigensolve
         for k in (1, 2, 3):
             limit = float(moment_limit(f, k).re)
             table = sweep(
                 f"moment_defect_k{k}",
                 DEFAULT_SWEEP,
-                lambda m: abs(spectral_moment(f, m, k, toeplitz=toeplitz) - limit),
+                lambda m: abs(spectral_moment(f, m, k, spectrum=spectrum) - limit),
                 1,
             )
             fit = loglog_slope(table)

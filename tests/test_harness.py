@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
 from btlab.operators import toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
+from btlab.semiclassics import moment_limit, spectral_moment
 from btlab.symbols import sphere_height
 
 MINIMAL = """
@@ -171,7 +173,7 @@ def test_cache_detects_tampering(tmp_path):
         cache.load(symbol_hash(f), "toeplitz", 4)
 
 
-def test_assembler_recovers_from_corruption(tmp_path, capsys):
+def test_assembler_recovers_from_corruption(tmp_path, caplog):
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
     path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
@@ -180,7 +182,7 @@ def test_assembler_recovers_from_corruption(tmp_path, capsys):
     mat = asm.toeplitz(f, 4)
     assert asm.cache_corruptions == 1 and asm.assemblies == 1
     assert np.max(np.abs(mat.entries - toeplitz_exact(f, 4).entries)) == 0.0
-    assert "recomputing" in capsys.readouterr().err
+    assert any(r.name == "btlab" and "recomputing" in r.getMessage() for r in caplog.records)
 
 
 def test_cache_rejects_out_of_range_index(tmp_path):
@@ -197,7 +199,7 @@ def test_cache_rejects_out_of_range_index(tmp_path):
         cache.load(symbol_hash(f), "toeplitz", 4)
 
 
-def test_assembler_recomputes_float_format_file(tmp_path):
+def test_assembler_recomputes_float_format_file(tmp_path, caplog):
     f = sphere_height()
     mat = toeplitz_exact(f, 4)
     cache = MatrixCache(tmp_path / "cache")
@@ -216,8 +218,12 @@ def test_assembler_recomputes_float_format_file(tmp_path):
     with pytest.raises(CacheCorruption):
         cache.load(symbol_hash(f), "toeplitz", 4)
     asm = Assembler(cache)
-    again = asm.toeplitz(f, 4)
+    with caplog.at_level(logging.WARNING, logger="btlab"):
+        again = asm.toeplitz(f, 4)
     assert asm.cache_corruptions == 1 and asm.assemblies == 1
+    [record] = caplog.records
+    assert record.name == "btlab" and record.levelno == logging.WARNING
+    assert "bad magic line" in record.getMessage() and record.getMessage().endswith("; recomputing")
     assert again.kernel == mat.kernel
     assert cache.load(symbol_hash(f), "toeplitz", 4).kernel == mat.kernel
 
@@ -303,6 +309,28 @@ def test_checks_share_one_memo(tmp_path):
     report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
     assert code == 0
     assert report.counters["assemblies"] == 4  # one T_height per level, shared by all three checks
+
+
+def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    text = MINIMAL.replace("checks = norms", "checks = spectrum").replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    cfg.output = tmp_path / "out"
+    report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
+    assert code == 0
+    assert len(calls) == 4  # moments k = 1, 2, 3 share one spectrum per level
+    assert report.counters["assemblies"] == 4  # a spectrum is memoized, not assembled
+    f = sphere_height()
+    for k, table in zip((1, 2, 3), report.checks["spectrum"].tables):
+        limit = float(moment_limit(f, k).re)
+        assert table.records == [(m, abs(spectral_moment(f, m, k) - limit)) for m in (2, 4, 8, 16)]
 
 
 def test_parallel_sweeps_are_order_normalized(tmp_path):

@@ -120,6 +120,18 @@ def test_quadrature_hermitian_for_real_input():
     assert np.max(np.abs(q.entries - toeplitz_exact(f, 8).entries)) <= 1e-10
 
 
+def test_quadrature_propagates_evaluator_errors():
+    calls = []
+
+    def broken(z):
+        calls.append(z)
+        return 1.0 / 0.0
+
+    with pytest.raises(ZeroDivisionError):
+        toeplitz_quadrature(broken, 2, 8, 8)
+    assert len(calls) == 1  # no node-by-node retry of a failing evaluator
+
+
 def test_quadrature_spectral_convergence():
     # the radial integrand is polynomial in the Legendre variable, so the
     # rule snaps to machine precision once 2n-1 covers the degree
@@ -173,6 +185,19 @@ def test_prequantum_is_anti_hermitian_for_real_symbols():
 
 def test_operator_norm_diagonal():
     assert operator_norm(np.diag([0.25, 0.5, 0.75])) == pytest.approx(0.75, abs=1e-15)
+
+
+def test_operator_norm_of_zero_matrix_skips_the_svd(monkeypatch):
+    nonzero = np.diag([0.0, -2.0, 0.5]).astype(complex)
+    want = operator_norm(nonzero)
+    assert want == pytest.approx(2.0, abs=1e-15)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called on a zero matrix")
+
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    zero = operator_norm(np.zeros((5, 5), dtype=complex))
+    assert zero == 0.0 and type(zero) is float
 
 
 def test_commutator_basics(height):

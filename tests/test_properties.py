@@ -1,5 +1,6 @@
 """Property tests: the exact kernel arithmetic against the float matrices,
-and the disk cache as an exact round trip, over random symbols and levels."""
+the banded assembly against the entry-by-entry reference, and the disk
+cache as an exact round trip, over random symbols and levels."""
 
 import tempfile
 from pathlib import Path
@@ -8,23 +9,29 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assembly_reference import prequantum_reference, toeplitz_reference
 from btlab.cache import MatrixCache
+from btlab.exact import QC
 from btlab.operators import (
     adjoint,
     compose_exact,
     equal_exact,
     from_kernel,
     lincomb_exact,
+    prequantum_geometric,
     toeplitz_exact,
     trace_exact,
 )
-from conftest import rand
+from btlab.symbols import ChartRational
+from conftest import rand, rand_complex
 
 REL_TOL = 1e-12
 
 seeds = st.integers(min_value=0, max_value=10_000)
 levels = st.integers(min_value=0, max_value=24)
+small_levels = st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=3, max_value=24))
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+complex_coeffs = st.builds(QC, coeffs, coeffs)
 properties = settings(max_examples=25, deadline=None)
 
 
@@ -62,3 +69,51 @@ def test_cache_round_trip_is_exact(seed_f, seed_g, m):
         again = cache.load("0" * 64, "toeplitz", m)
     assert equal_exact(again, ab) and again.provenance == "exact"
     assert np.array_equal(again.entries, ab.entries)
+
+
+@properties
+@given(complex_coeffs, st.one_of(st.integers(min_value=-50, max_value=50), coeffs))
+def test_rational_scaling_is_the_full_product(q, r):
+    assert q * r == q * QC(r)
+    assert r * q == q * r
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@properties
+@given(seeds, small_levels)
+def test_banded_assembly_matches_the_reference(seed, m):
+    f = rand(seed, 3)
+    pairs = [(toeplitz_exact(f, m), toeplitz_reference(f, m))]
+    if m >= 1:
+        pairs.append((prequantum_geometric(f, m), prequantum_reference(f, m)))
+    for got, want in pairs:
+        assert got.kernel == want.kernel
+        assert _same_bits(got.entries, want.entries)
+
+
+def _outcome(assemble, *args):
+    try:
+        return assemble(*args).kernel
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@properties
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), complex_coeffs, min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=3),
+    small_levels,
+)
+def test_banded_assembly_fails_like_the_reference(terms, r, m):
+    # a chart rational that need not be smooth at infinity: some pairings diverge
+    g = ChartRational(terms, r)
+    assert _outcome(toeplitz_exact, g, m) == _outcome(toeplitz_reference, g, m)
+
+
+def test_prequantum_rejects_like_the_reference():
+    for f, m in ((rand(1), 0), (rand_complex(2), 3)):
+        want = _outcome(prequantum_reference, f, m)
+        assert want.startswith("ValueError") and _outcome(prequantum_geometric, f, m) == want
