@@ -92,6 +92,9 @@ def assemble(name, m, config_path, kind, out):
         else:
             with np.printoptions(precision=8, suppress=True, linewidth=120):
                 click.echo(str(mat.entries))
+    except ValueError as exc:  # the assemblers reject a level or a symbol given on the command line
+        click.echo(f"configuration error: {exc}", err=True)
+        raise SystemExit(2)
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {exc}", err=True)
         raise SystemExit(3)

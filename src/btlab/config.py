@@ -197,8 +197,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     slope_checks = [c for c in checks if c in ("dirac", "product", "sass2", "spectrum")]
     if slope_checks and len(m_list) < 4:
         raise ValidationError(f"checks {slope_checks} fit slopes and need at least 4 levels in m_list")
-    if "trace" in checks and len(m_list) < 2:
-        raise ValidationError("trace check fits a line in m and needs at least 2 levels")
 
     return ExperimentConfig(
         name=name,

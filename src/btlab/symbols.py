@@ -9,7 +9,9 @@ smoothly through the second chart w = 1/z exactly when, after cancelling
 all common (1 + z*zbar) factors, deg_z N <= R and deg_zbar N <= R; those
 reduced representatives form ``CanonicalSymbol``, a subalgebra closed under
 products, conjugation, Wirtinger derivatives, the Poisson bracket and the
-Laplacian.
+Laplacian.  Constructing a ``CanonicalSymbol`` performs the cancellation, so
+every smooth function has exactly one canonical form and ``==`` on symbols
+is equality of functions.
 
 Geometric conventions (fixed once, verified by the finite-difference
 calibration oracle in :func:`calibrate_hamiltonian_phase`):
@@ -93,21 +95,29 @@ def _one_plus_t_pow(k: int) -> Terms:
 
 
 def _divide_one_plus_t(terms: Terms) -> Terms | None:
-    """Exact quotient terms/(1+z*zbar), or None if not divisible."""
-    if not terms:
-        return {}
+    """Exact quotient terms/(1+z*zbar), or None if not divisible.
+
+    Synthetic division up each diagonal a - b = d, gaps included: with n_i
+    the coefficient of the monomial with min(a, b) = i, q_i = n_i - q_{i-1}
+    from i = 0 to the top of the diagonal, and the division is exact iff
+    the top step leaves q = 0.  The quotient comes back in sorted key
+    order, so the float sums over a reduced symbol's terms (``evaluate``,
+    ``sup_norm``) do not depend on the order of the input.
+    """
+    tops: dict[int, int] = {}
+    for a, b in terms:
+        tops[a - b] = max(tops.get(a - b, 0), min(a, b))
     quot: Terms = {}
-    # q[a,b] = n[a,b] - q[a-1,b-1], walking up each diagonal.
-    for (a, b) in sorted(terms.keys() | {(a + 1, b + 1) for (a, b) in terms}):
-        n_ab = terms.get((a, b), QC(0))
-        q = n_ab - quot.get((a - 1, b - 1), QC(0))
+    for d, top in tops.items():
+        a0, b0 = max(d, 0), max(-d, 0)
+        q = QC(0)
+        for i in range(top + 1):
+            q = terms.get((a0 + i, b0 + i), QC(0)) - q
+            if q and i < top:
+                quot[(a0 + i, b0 + i)] = q
         if q:
-            quot[(a, b)] = q
-    # Consistency: the reconstruction must terminate, i.e. the top of each
-    # diagonal must have cancelled.
-    if _poly_add(_poly_mul(quot, _one_plus_t_pow(1)), _poly_scale(QC(-1), terms)):
-        return None
-    return quot
+            return None
+    return dict(sorted(quot.items()))
 
 
 class ChartRational:
@@ -155,17 +165,14 @@ class ChartRational:
 
     # -- algebra -----------------------------------------------------------
 
-    def _add_raw(self, other: "ChartRational") -> tuple[Terms, int]:
-        r = max(self.denom_exp, other.denom_exp)
-        t1 = _poly_mul(self.terms, _one_plus_t_pow(r - self.denom_exp)) if r > self.denom_exp else self.terms
-        t2 = _poly_mul(other.terms, _one_plus_t_pow(r - other.denom_exp)) if r > other.denom_exp else other.terms
-        return _poly_add(t1, t2), r
-
     def __add__(self, other):
         if not isinstance(other, ChartRational):
             return NotImplemented
-        terms, r = self._add_raw(other)
-        return ChartRational(terms, r)
+        r = max(self.denom_exp, other.denom_exp)
+        t1 = _poly_mul(self.terms, _one_plus_t_pow(r - self.denom_exp)) if r > self.denom_exp else self.terms
+        t2 = _poly_mul(other.terms, _one_plus_t_pow(r - other.denom_exp)) if r > other.denom_exp else other.terms
+        cls = type(self) if type(other) is type(self) else ChartRational
+        return cls(_poly_add(t1, t2), r)
 
     def __sub__(self, other):
         if not isinstance(other, ChartRational):
@@ -175,13 +182,14 @@ class ChartRational:
     def __mul__(self, other):
         if not isinstance(other, ChartRational):
             return NotImplemented
-        return ChartRational(_poly_mul(self.terms, other.terms), self.denom_exp + other.denom_exp)
+        cls = type(self) if type(other) is type(self) else ChartRational
+        return cls(_poly_mul(self.terms, other.terms), self.denom_exp + other.denom_exp)
 
     def scale(self, c: QC | Rational) -> "ChartRational":
-        return ChartRational(_poly_scale(QC.coerce(c), self.terms), self.denom_exp)
+        return type(self)(_poly_scale(QC.coerce(c), self.terms), self.denom_exp)
 
     def conjugate(self) -> "ChartRational":
-        return ChartRational({(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.denom_exp)
+        return type(self)({(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.denom_exp)
 
     def shifted(self, k: int) -> "ChartRational":
         """The function times (1 + z*zbar)^k, for any integer k."""
@@ -220,48 +228,29 @@ class ChartRational:
 
 
 class CanonicalSymbol(ChartRational):
-    """A reduced chart-rational function that is smooth on all of P^1."""
+    """A chart-rational function that is smooth on all of P^1, in its one
+    canonical form: constructing one cancels every (1+z*zbar) factor of the
+    numerator, then certifies smoothness at infinity, so two symbols are
+    equal as functions iff they compare ``==``."""
 
     __slots__ = ("is_real",)
 
     def __init__(self, terms: Terms, denom_exp: int = 0):
         super().__init__(terms, denom_exp)
-        if self.is_zero:
-            object.__setattr__(self, "denom_exp", 0)
-        else:
-            if _divide_one_plus_t(self.terms) is not None and self.denom_exp > 0:
-                raise ValueError("not reduced: numerator divisible by (1+z*zbar)")
-            if self.deg_z() > self.denom_exp or self.deg_zbar() > self.denom_exp:
-                raise NotSmoothAtInfinity(
-                    f"numerator degrees ({self.deg_z()}, {self.deg_zbar()}) exceed denominator exponent {self.denom_exp}"
-                )
+        terms, r = self.terms, (self.denom_exp if self.terms else 0)
+        while r > 0 and (quot := _divide_one_plus_t(terms)) is not None:
+            terms, r = quot, r - 1
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "denom_exp", r)
+        if self.deg_z() > r or self.deg_zbar() > r:
+            raise NotSmoothAtInfinity(
+                f"numerator degrees ({self.deg_z()}, {self.deg_zbar()}) exceed denominator exponent {r}"
+            )
         object.__setattr__(
             self,
             "is_real",
             all(self.terms.get((b, a), QC(0)) == c.conjugate() for (a, b), c in self.terms.items()),
         )
-
-    def __add__(self, other):
-        if type(other) is CanonicalSymbol:
-            terms, r = self._add_raw(other)
-            return reduce(ChartRational(terms, r))
-        return super().__add__(other)
-
-    def __sub__(self, other):
-        if type(other) is CanonicalSymbol:
-            return self + other.scale(-1)
-        return super().__sub__(other)
-
-    def __mul__(self, other):
-        if type(other) is CanonicalSymbol:
-            return reduce(ChartRational(_poly_mul(self.terms, other.terms), self.denom_exp + other.denom_exp))
-        return super().__mul__(other)
-
-    def scale(self, c: QC | Rational) -> "CanonicalSymbol":
-        return CanonicalSymbol(_poly_scale(QC.coerce(c), self.terms), self.denom_exp)
-
-    def conjugate(self) -> "CanonicalSymbol":
-        return CanonicalSymbol({(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.denom_exp)
 
     @property
     def is_constant(self) -> bool:
@@ -275,7 +264,7 @@ class CanonicalSymbol(ChartRational):
 
 def symbol(terms: Terms, denom_exp: int = 0) -> CanonicalSymbol:
     """Reduce a raw (terms, R) pair into a canonical symbol."""
-    return reduce(ChartRational(terms, denom_exp))
+    return CanonicalSymbol(terms, denom_exp)
 
 
 def constant(c: QC | Rational) -> CanonicalSymbol:
@@ -294,15 +283,7 @@ def sphere_coord_x() -> CanonicalSymbol:
 
 def reduce(raw: ChartRational) -> CanonicalSymbol:
     """Cancel all (1+z*zbar) factors and certify smoothness at infinity."""
-    terms, r = raw.terms, raw.denom_exp
-    if not terms:
-        return CanonicalSymbol({}, 0)
-    while r > 0:
-        quot = _divide_one_plus_t(terms)
-        if quot is None:
-            break
-        terms, r = quot, r - 1
-    return CanonicalSymbol(terms, r)
+    return CanonicalSymbol(raw.terms, raw.denom_exp)
 
 
 def wirtinger(f: ChartRational, which: str = "dz") -> ChartRational:

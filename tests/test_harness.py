@@ -120,6 +120,14 @@ def test_parse_rejects_slope_checks_with_short_sweep(tmp_path):
         parse_config(write_cfg(tmp_path, bad))
 
 
+def test_trace_check_runs_on_one_level(tmp_path):
+    text = MINIMAL.replace("checks = norms", "checks = trace").replace("m_list = 2, 4, 8", "m_list = 4")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    cfg.output = tmp_path / "out"
+    report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
+    assert code == 0 and report.checks["trace"].status == "pass"
+
+
 def test_readme_demo_config_parses_with_real_symbols(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -422,6 +430,21 @@ def test_cli_assemble_prequantum(tmp_path):
     )
     assert result.exit_code == 0
     assert list((tmp_path / "cache").glob("prequantum-m2-*.mat"))
+
+
+def test_cli_assemble_rejects_prequantum_level_zero():
+    result = CliRunner().invoke(main, ["assemble", "height", "0", "--kind", "prequantum"])
+    assert result.exit_code == 2
+    assert "configuration error: level m must be >= 1" in result.output
+
+
+def test_cli_assemble_rejects_prequantum_of_a_non_real_symbol(tmp_path):
+    cfg_path = write_cfg(tmp_path, MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 1 1"))  # (1+i) t/(1+t)
+    result = CliRunner().invoke(
+        main, ["assemble", "height", "2", "--config", str(cfg_path), "--kind", "prequantum"]
+    )
+    assert result.exit_code == 2
+    assert "configuration error: prequantum_geometric requires a real symbol" in result.output
 
 
 def test_cli_report_and_cache_clear(tmp_path):

@@ -1,16 +1,20 @@
 """Property tests: the exact kernel arithmetic against the float matrices,
-the banded assembly against the entry-by-entry reference, and the disk
-cache as an exact round trip, over random symbols and levels."""
+the banded assembly against the entry-by-entry reference, the disk cache
+as an exact round trip, the uniqueness of the canonical form, and the
+Leibniz and Jacobi identities of the Poisson bracket, over random symbols
+and levels."""
 
 import tempfile
+from math import comb
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assembly_reference import prequantum_reference, toeplitz_reference
 from btlab.cache import MatrixCache
+from btlab.errors import NotSmoothAtInfinity
 from btlab.exact import QC
 from btlab.operators import (
     adjoint,
@@ -22,7 +26,7 @@ from btlab.operators import (
     toeplitz_exact,
     trace_exact,
 )
-from btlab.symbols import ChartRational
+from btlab.symbols import ChartRational, poisson_bracket, reduce
 from conftest import rand, rand_complex
 
 REL_TOL = 1e-12
@@ -117,3 +121,49 @@ def test_prequantum_rejects_like_the_reference():
     for f, m in ((rand(1), 0), (rand_complex(2), 3)):
         want = _outcome(prequantum_reference, f, m)
         assert want.startswith("ValueError") and _outcome(prequantum_geometric, f, m) == want
+
+
+def _canonical(raw: ChartRational):
+    try:
+        return reduce(raw)
+    except NotSmoothAtInfinity:
+        return NotSmoothAtInfinity
+
+
+small_coeffs = st.builds(QC, st.integers(-2, 2), st.integers(-2, 2))
+
+
+# Random sparse numerators rarely hold the alternating runs c, -c, c whose
+# products with (1+t) leave a gap of two on a diagonal, so two are pinned.
+@properties
+@example({(0, 0): QC(1), (1, 1): QC(-1), (2, 2): QC(1)}, 2, 1)
+@example({(1, 0): QC(0, 1), (2, 1): QC(0, -1), (3, 2): QC(0, 1)}, 3, 2)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), small_coeffs, max_size=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_reduction_is_canonical(terms, r, k):
+    # N (1+t)^k / (1+t)^(r+k) and N / (1+t)^r are one function, so they have one canonical form
+    n = ChartRational(terms, r)
+    widened = n * ChartRational({(i, i): QC(comb(k, i)) for i in range(k + 1)}, k)
+    assert _canonical(widened) == _canonical(n)
+
+
+@properties
+@given(seeds, seeds, seeds)
+def test_leibniz_rule(seed_f, seed_g, seed_h):
+    f, g, h = rand(seed_f), rand(seed_g), rand(seed_h)
+    assert poisson_bracket(f, g * h) == poisson_bracket(f, g) * h + g * poisson_bracket(f, h)
+
+
+@properties
+@given(seeds, seeds, seeds)
+def test_jacobi_identity(seed_f, seed_g, seed_h):
+    f, g, h = rand(seed_f), rand(seed_g), rand(seed_h)
+    total = (
+        poisson_bracket(f, poisson_bracket(g, h))
+        + poisson_bracket(g, poisson_bracket(h, f))
+        + poisson_bracket(h, poisson_bracket(f, g))
+    )
+    assert total.is_zero

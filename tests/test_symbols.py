@@ -25,6 +25,7 @@ from btlab.symbols import (
     random_real_symbol,
     reduce,
     sup_norm,
+    symbol,
     wirtinger,
 )
 from conftest import rand, rand_complex
@@ -51,6 +52,13 @@ def test_reduce_rejects_pole_at_infinity():
     # z^2/(1+t): substituting z = 1/w leaves 1/(w zbar... ) with a pole at w=0
     with pytest.raises(NotSmoothAtInfinity):
         reduce(ChartRational({(2, 0): QC(1)}, 1))
+
+
+def test_reduce_cancels_across_gaps_on_a_diagonal():
+    # 1 + t^3 = (1 + t)(1 - t + t^2): the numerator has a gap of two on its diagonal
+    gapped = symbol({(0, 0): 1, (3, 3): 1}, 3)
+    assert gapped == symbol({(0, 0): 1, (1, 1): -1, (2, 2): 1}, 2)
+    assert gapped.denom_exp == 2
 
 
 def test_reduce_zero_normalizes():
