@@ -30,7 +30,7 @@ def main():
 
 @main.command("run")
 @click.argument("config_path", type=click.Path())
-@click.option("--jobs", type=int, default=None, help="Workers per sweep (default: one per level).")
+@click.option("--jobs", type=int, default=None, hidden=True, help="ignored; sweeps run in one thread")
 @click.option("--out", type=click.Path(), default=None, help="Report directory (overrides config).")
 @click.option("--tolerance-slope", type=float, default=None, help="Slope window (overrides config).")
 @click.option("--cache-root", type=click.Path(), default=None, help=f"Cache directory (default ${CACHE_ENV} or ~/.cache/btlab).")
@@ -46,7 +46,6 @@ def run_cmd(config_path, jobs, out, tolerance_slope, cache_root):
     try:
         report, code = run_experiment(
             cfg,
-            jobs=jobs,
             cache_root=Path(cache_root) if cache_root else None,
             out=Path(out) if out else None,
         )

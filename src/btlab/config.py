@@ -10,7 +10,7 @@ Grammar (see README for a complete example)::
     symbols = height, bump      # optional active subset, defaults to all
     seed = 7                    # optional, drives random draws in checks
     slope_window = 0.15         # optional slope tolerance
-    identity_tol = 1e-10        # optional tolerance of the Laplacian calibration
+    identity_tol = 1e-10        # accepted for old configs, not read
     output = runs/smoke         # optional report directory
 
     [symbol bump]               # one section per named symbol
@@ -48,6 +48,9 @@ KNOWN_CHECKS = (
     "equivalence",
 )
 
+# sup norm, Hamiltonian field, Hermitian spectrum and prequantum operator exist for real symbols only
+REAL_SYMBOL_CHECKS = ("norms", "dirac", "spectrum", "tuynman")
+
 SUPPORTED_MANIFOLDS = ("cp1",)
 
 BUILTIN_SYMBOLS = {
@@ -78,7 +81,6 @@ class ExperimentConfig:
     active: list[str]
     seed: int = 0
     slope_window: float = 0.15
-    identity_tol: float = 1e-10
     output: Path = field(default_factory=lambda: Path("runs/experiment"))
 
     def active_symbols(self) -> list[tuple[str, CanonicalSymbol]]:
@@ -187,16 +189,19 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         seed = int(exp.get("seed", "0"))
         slope_window = float(exp.get("slope_window", "0.15"))
-        identity_tol = float(exp.get("identity_tol", "1e-10"))
     except ValueError as exc:
         raise ValidationError(f"[experiment]: {exc}") from exc
-    if slope_window < 0 or identity_tol < 0:
-        raise ValidationError("[experiment]: tolerances must be nonnegative")
+    if slope_window < 0:
+        raise ValidationError("[experiment]: slope_window must be nonnegative")
 
     name = exp.get("name", path.stem)
     slope_checks = [c for c in checks if c in ("dirac", "product", "sass2", "spectrum")]
     if slope_checks and len(m_list) < 4:
         raise ValidationError(f"checks {slope_checks} fit slopes and need at least 4 levels in m_list")
+    real_checks = [c for c in checks if c in REAL_SYMBOL_CHECKS]
+    not_real = [n for n in active if not symbols[n].is_real]
+    if real_checks and not_real:
+        raise ValidationError(f"symbol(s) {not_real} are not real; checks {real_checks} need real symbols")
 
     return ExperimentConfig(
         name=name,
@@ -207,6 +212,5 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         active=active,
         seed=seed,
         slope_window=slope_window,
-        identity_tol=identity_tol,
         output=Path(exp.get("output", f"runs/{name}")),
     )

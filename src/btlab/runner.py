@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,33 +68,27 @@ class Assembler:
         self.cache_hits = 0
         self.cache_corruptions = 0
         self._memo: dict[tuple[str, str, int], OperatorMatrix | np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def _get(self, f: CanonicalSymbol, m: int, kind: str, build, derived: bool = False):
         key = (symbol_hash(f), kind, m)
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
+        if key in self._memo:
+            return self._memo[key]
         mat = None
         if self.cache is not None and not derived:
             try:
                 mat = self.cache.load(key[0], kind, m)
             except CacheCorruption as exc:
                 logging.getLogger("btlab").warning("%s; recomputing", exc)
-                with self._lock:
-                    self.cache_corruptions += 1
+                self.cache_corruptions += 1
         if mat is None:
             mat = build(f, m)
             if not derived:
-                with self._lock:
-                    self.assemblies += 1
+                self.assemblies += 1
                 if self.cache is not None:
                     self.cache.store(mat, key[0], kind)
         else:
-            with self._lock:
-                self.cache_hits += 1
-        with self._lock:
-            self._memo[key] = mat
+            self.cache_hits += 1
+        self._memo[key] = mat
         return mat
 
     def toeplitz(self, f: CanonicalSymbol, m: int) -> OperatorMatrix:
@@ -175,13 +168,11 @@ def _slope_ok(table: ConvergenceTable, threshold: float) -> bool:
     return fit.exact_identity or fit.slope <= threshold
 
 
-def _check_norms(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_norms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
         sup = sup_norm(f)
-        table = sweep(
-            name, cfg.m_list, lambda m, f=f, s=sup: norm_defect(f, m, s, toeplitz=assembler.toeplitz), jobs
-        )
+        table = sweep(name, cfg.m_list, lambda m: norm_defect(f, m, sup, toeplitz=assembler.toeplitz))
         tables.append(table)
         defects = table.values()
         if any(d < -NORM_CONTRACTION_TOL for d in defects):
@@ -194,14 +185,12 @@ def _check_norms(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> Chec
     return CheckOutcome("norms", "pass" if ok else "fail", tables, details)
 
 
-def _check_dirac(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_dirac(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     threshold = -1.0 + cfg.slope_window
     tables, details, ok = [], {}, True
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
-        table = sweep(
-            f"{na}-{nb}", cfg.m_list, lambda m, f=f, g=g: dirac_defect(f, g, m, toeplitz=assembler.toeplitz), jobs
-        )
+        table = sweep(f"{na}-{nb}", cfg.m_list, lambda m: dirac_defect(f, g, m, toeplitz=assembler.toeplitz))
         tables.append(table)
         if not _slope_ok(table, threshold):
             ok = False
@@ -209,19 +198,14 @@ def _check_dirac(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> Chec
     return CheckOutcome("dirac", "pass" if ok else "fail", tables, details)
 
 
-def _check_product(
-    cfg: ExperimentConfig, assembler: Assembler, jobs: int, order: int, check_name: str
-) -> CheckOutcome:
+def _check_product(cfg: ExperimentConfig, assembler: Assembler, order: int, check_name: str) -> CheckOutcome:
     threshold = -float(order) + order * cfg.slope_window
     tables, details, ok = [], {}, True
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
         coeffs = product_coefficients(f, g, order)
         table = sweep(
-            f"{na}-{nb}",
-            cfg.m_list,
-            lambda m, f=f, g=g, c=coeffs: sass_remainder(f, g, c, m, toeplitz=assembler.toeplitz),
-            jobs,
+            f"{na}-{nb}", cfg.m_list, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=assembler.toeplitz)
         )
         tables.append(table)
         if not _slope_ok(table, threshold):
@@ -234,11 +218,11 @@ def _check_product(
     return CheckOutcome(check_name, "pass" if ok else "fail", tables, details)
 
 
-def _check_trace(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_trace(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
         avg = average(f)
-        table = sweep(name, cfg.m_list, lambda m, f=f: float(np.trace(assembler.toeplitz(f, m).entries).real), jobs)
+        table = sweep(name, cfg.m_list, lambda m: float(np.trace(assembler.toeplitz(f, m).entries).real))
         tables.append(table)
         exact = all(trace_exact(assembler.toeplitz(f, m)) == QC(m + 1) * avg for m in cfg.m_list)
         ok = ok and exact
@@ -246,7 +230,7 @@ def _check_trace(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> Chec
     return CheckOutcome("trace", "pass" if ok else "fail", tables, details)
 
 
-def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     threshold = -1.0 + cfg.slope_window
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
@@ -255,8 +239,7 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> C
             table = sweep(
                 f"{name}-k{k}",
                 cfg.m_list,
-                lambda m, f=f, k=k, L=limit: abs(spectral_moment(f, m, k, spectrum=assembler.spectrum) - L),
-                jobs,
+                lambda m: abs(spectral_moment(f, m, k, spectrum=assembler.spectrum) - limit),
             )
             tables.append(table)
             if not _slope_ok(table, threshold):
@@ -269,14 +252,13 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> C
     return CheckOutcome("spectrum", "pass" if ok else "fail", tables, details)
 
 
-def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
         table = sweep(
             name,
             cfg.m_list,
-            lambda m, f=f: tuynman_defect(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum),
-            jobs,
+            lambda m: tuynman_defect(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum),
         )
         tables.append(table)
         exact = all(_tuynman_holds(f, m, assembler) for m in cfg.m_list)
@@ -294,7 +276,7 @@ def _random_pool(cfg: ExperimentConfig, count: int) -> list[CanonicalSymbol]:
     return [random_real_symbol(cfg.seed * 1000 + i, 2) for i in range(count)]
 
 
-def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     details, ok = {}, True
     pool = [f for _, f in cfg.active_symbols()] + _random_pool(cfg, 6)
     for i in range(5):
@@ -310,7 +292,7 @@ def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler, jobs: int) ->
     return CheckOutcome("staraxioms", "pass" if ok else "fail", [], details)
 
 
-def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -> CheckOutcome:
+def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     details, ok = {}, True
     pool = [f for _, f in cfg.active_symbols()] + _random_pool(cfg, 5)
     for i in range(5):
@@ -326,8 +308,8 @@ def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler, jobs: int) -
 _CHECKS = {
     "norms": _check_norms,
     "dirac": _check_dirac,
-    "product": lambda cfg, assembler, jobs: _check_product(cfg, assembler, jobs, 1, "product"),
-    "sass2": lambda cfg, assembler, jobs: _check_product(cfg, assembler, jobs, 2, "sass2"),
+    "product": lambda cfg, assembler: _check_product(cfg, assembler, 1, "product"),
+    "sass2": lambda cfg, assembler: _check_product(cfg, assembler, 2, "sass2"),
     "trace": _check_trace,
     "spectrum": _check_spectrum,
     "tuynman": _check_tuynman,
@@ -336,38 +318,37 @@ _CHECKS = {
 }
 
 
-def calibrate_laplacian_coeff(identity_tol: float = 1e-10) -> Fraction:
+def calibrate_laplacian_coeff() -> Fraction:
     """Pin the Laplacian normalization against the quantization identity.
 
     Tries candidate coefficients c in {1, 2, 4} for Delta_c = (c/2)*Delta
-    and returns the one for which Q_f = i T_{f - Delta_c f/(2m)} holds at
-    m = 2 on the height symbol.  Raises if none matches.
+    and returns the one for which Q_f = i T_{f - Delta_c f/(2m)} holds
+    exactly at m = 2 on the height symbol.  Raises if none matches.
     """
     f = sphere_height()
     m = 2
-    q = prequantum_geometric(f, m).entries
+    q = prequantum_geometric(f, m)
     for c in (Fraction(1), Fraction(2), Fraction(4)):
         rhs = toeplitz_exact(f - laplacian(f).scale(c / 2 * Fraction(1, 2 * m)), m)
-        if float(np.max(np.abs(q - 1j * rhs.entries))) <= identity_tol:
+        if equal_exact(q, lincomb_exact([(QC_I, rhs)])):
             return c
     raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
 
 
 def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
+    """Run every configured check in the calling thread; ``jobs`` is accepted for old callers and ignored."""
     assembler = Assembler(cache)
-    if jobs is None:
-        jobs = len(cfg.m_list)
     phase = calibrate_hamiltonian_phase(cfg.seed)
     calibration = {
         "poisson_phase": "-i" if phase == QC(0, -1) else "+i",
         "hamiltonian_formula": "X^z = phase * (1+|z|^2)^2 df/dzbar",
-        "laplacian_coeff": float(calibrate_laplacian_coeff(cfg.identity_tol)),
+        "laplacian_coeff": float(calibrate_laplacian_coeff()),
     }
     checks: dict[str, CheckOutcome] = {}
     timings: dict[str, float] = {}
     for name in cfg.checks:
         t0 = time.perf_counter()
-        checks[name] = _CHECKS[name](cfg, assembler, jobs)
+        checks[name] = _CHECKS[name](cfg, assembler)
         timings[name] = time.perf_counter() - t0
     status = "pass" if all(out.status == "pass" for out in checks.values()) else "fail"
     return RunReport(
@@ -425,7 +406,11 @@ def run(
     cache_root: Path | None = None,
     out: Path | None = None,
 ) -> tuple[RunReport, int]:
+    """Execute ``cfg`` and write its reports; returns the report and the exit code.
+
+    ``jobs`` is accepted for old callers and ignored: sweeps run in one thread.
+    """
     cache = MatrixCache(cache_root) if cache_root is not None else MatrixCache()
-    report = execute(cfg, jobs=jobs, cache=cache)
+    report = execute(cfg, cache=cache)
     write_report(report, out if out is not None else cfg.output)
     return report, 0 if report.status == "pass" else 1

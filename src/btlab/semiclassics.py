@@ -10,7 +10,6 @@ identities and never enter a fit.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -79,18 +78,9 @@ def loglog_slope(table: ConvergenceTable) -> FitResult:
     return table.fit
 
 
-def sweep(name: str, m_list, fn, jobs: int) -> ConvergenceTable:
-    """The table of fn(m) over m_list, with up to ``jobs`` levels at once.
-
-    Records follow the order of m_list whatever the job count, so the
-    table does not depend on ``jobs``.
-    """
-    if jobs > 1:
-        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(fn, m_list))
-    else:
-        values = [fn(m) for m in m_list]
-    return ConvergenceTable(name, list(zip(m_list, values)))
+def sweep(name: str, m_list, fn) -> ConvergenceTable:
+    """The table of fn(m) over m_list, one level after another in the calling thread."""
+    return ConvergenceTable(name, [(m, fn(m)) for m in m_list])
 
 
 def norm_defect(f: CanonicalSymbol, m: int, sup: float | None = None, toeplitz=toeplitz_exact) -> float:
@@ -163,7 +153,7 @@ def moment_limit(f: CanonicalSymbol, k: int) -> QC:
 
 
 def trace_sequence(f: CanonicalSymbol, m_list) -> ConvergenceTable:
-    return sweep("trace", m_list, lambda m: float(trace_exact(toeplitz_exact(f, m)).re), 1)
+    return sweep("trace", m_list, lambda m: float(trace_exact(toeplitz_exact(f, m)).re))
 
 
 def extract_tau(f: CanonicalSymbol, m_list=DEFAULT_SWEEP) -> tuple[QC, QC]:

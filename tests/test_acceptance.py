@@ -93,7 +93,7 @@ def test_criterion_02_norm_approximation():
     for seed_f, _ in PAIR_SEEDS:
         f = rand(seed_f, SWEEP_MAX_R)
         sup = sup_norm(f)
-        table = sweep("norm_defect", DEFAULT_SWEEP, lambda m: norm_defect(f, m, sup), 1)
+        table = sweep("norm_defect", DEFAULT_SWEEP, lambda m: norm_defect(f, m, sup))
         ok = ok and all(d >= -1e-9 for d in table.values())
         c_values.append(max(m * d for m, d in table.records))
     ok = ok and all(np.isfinite(c) for c in c_values)
@@ -105,7 +105,7 @@ def test_criterion_03_commutator_rate():
     ok = True
     for seed_f, seed_g in PAIR_SEEDS:
         f, g = rand(seed_f, SWEEP_MAX_R), rand(seed_g, SWEEP_MAX_R)
-        table = sweep("dirac_defect", DEFAULT_SWEEP, lambda m: dirac_defect(f, g, m), 1)
+        table = sweep("dirac_defect", DEFAULT_SWEEP, lambda m: dirac_defect(f, g, m))
         fit = loglog_slope(table)
         if not fit.exact_identity:
             slopes.append(fit.slope)
@@ -116,7 +116,7 @@ def test_criterion_03_commutator_rate():
 def remainder_fit(f, g, order: int, toeplitz):
     coeffs = product_coefficients(f, g, order)
     table = sweep(
-        f"product_remainder_n{order}", DEFAULT_SWEEP, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=toeplitz), 1
+        f"product_remainder_n{order}", DEFAULT_SWEEP, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=toeplitz)
     )
     return loglog_slope(table)
 
@@ -202,7 +202,6 @@ def test_criterion_08_spectral_moments():
                 f"moment_defect_k{k}",
                 DEFAULT_SWEEP,
                 lambda m: abs(spectral_moment(f, m, k, spectrum=spectrum) - limit),
-                1,
             )
             fit = loglog_slope(table)
             if fit.exact_identity:

@@ -341,16 +341,6 @@ def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
         assert table.records == [(m, abs(spectral_moment(f, m, k) - limit)) for m in (2, 4, 8, 16)]
 
 
-def test_parallel_sweeps_are_order_normalized(tmp_path):
-    cfg_path = write_cfg(tmp_path, FULL.format(out=tmp_path / "out1"))
-    run_experiment(parse_config(cfg_path), jobs=1, cache_root=tmp_path / "c1")
-    csv_serial = (tmp_path / "out1" / "tables.csv").read_bytes()
-    cfg = parse_config(cfg_path)
-    cfg.output = tmp_path / "out2"
-    run_experiment(cfg, jobs=4, cache_root=tmp_path / "c2")
-    assert (tmp_path / "out2" / "tables.csv").read_bytes() == csv_serial
-
-
 def test_report_files_written(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, MINIMAL.replace("m_list = 2, 4, 8", "m_list = 2, 4")))
     cfg.output = tmp_path / "out"
@@ -392,6 +382,30 @@ def test_cli_run_exit_two_on_config_error(tmp_path):
     result = CliRunner().invoke(main, ["run", str(cfg_path)])
     assert result.exit_code == 2
     assert "configuration error" in result.output
+
+
+@pytest.mark.parametrize("check", ["norms", "dirac", "spectrum", "tuynman"])
+def test_cli_run_rejects_a_non_real_symbol(tmp_path, check):
+    text = MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 1 1")  # (1+i) t/(1+t)
+    text = text.replace("checks = norms", f"checks = {check}\noutput = {tmp_path / 'out'}")
+    cfg_path = write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16"))
+    result = CliRunner().invoke(main, ["run", str(cfg_path), "--cache-root", str(tmp_path / "cache")])
+    assert result.exit_code == 2
+    assert "configuration error" in result.output
+    assert "'height'" in result.output and f"'{check}'" in result.output
+
+
+def test_cli_run_accepts_and_ignores_jobs(tmp_path):
+    cfg_path = write_cfg(tmp_path, FULL.format(out=tmp_path / "unused"))
+    runner = CliRunner()
+    assert "--jobs" not in runner.invoke(main, ["run", "--help"]).output
+    tables = []
+    for name, extra in (("plain", []), ("jobs", ["--jobs", "3"])):
+        out = tmp_path / name
+        args = ["run", str(cfg_path), "--out", str(out), "--cache-root", str(tmp_path / f"cache-{name}"), *extra]
+        assert runner.invoke(main, args).exit_code == 0
+        tables.append((out / "tables.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_cli_run_exit_three_on_internal_error(tmp_path, monkeypatch):
@@ -439,7 +453,8 @@ def test_cli_assemble_rejects_prequantum_level_zero():
 
 
 def test_cli_assemble_rejects_prequantum_of_a_non_real_symbol(tmp_path):
-    cfg_path = write_cfg(tmp_path, MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 1 1"))  # (1+i) t/(1+t)
+    text = MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 1 1")  # (1+i) t/(1+t)
+    cfg_path = write_cfg(tmp_path, text.replace("checks = norms", "checks = trace"))  # trace takes non-real symbols
     result = CliRunner().invoke(
         main, ["assemble", "height", "2", "--config", str(cfg_path), "--kind", "prequantum"]
     )

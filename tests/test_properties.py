@@ -1,10 +1,11 @@
 """Property tests: the exact kernel arithmetic against the float matrices,
 the banded assembly against the entry-by-entry reference, the disk cache
-as an exact round trip, the uniqueness of the canonical form, and the
-Leibniz and Jacobi identities of the Poisson bracket, over random symbols
-and levels."""
+as an exact round trip, the uniqueness of the canonical form, the
+Leibniz and Jacobi identities of the Poisson bracket, Tuynman's identity
+and the inverse of the equivalence b, over random symbols and levels."""
 
 import tempfile
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from assembly_reference import prequantum_reference, toeplitz_reference
 from btlab.cache import MatrixCache
 from btlab.errors import NotSmoothAtInfinity
-from btlab.exact import QC
+from btlab.exact import QC, QC_I
 from btlab.operators import (
     adjoint,
     compose_exact,
@@ -26,7 +27,8 @@ from btlab.operators import (
     toeplitz_exact,
     trace_exact,
 )
-from btlab.symbols import ChartRational, poisson_bracket, reduce
+from btlab.starproduct import FormalSeries, b_inverse, b_map
+from btlab.symbols import ChartRational, laplacian, poisson_bracket, reduce
 from conftest import rand, rand_complex
 
 REL_TOL = 1e-12
@@ -167,3 +169,19 @@ def test_jacobi_identity(seed_f, seed_g, seed_h):
         + poisson_bracket(h, poisson_bracket(f, g))
     )
     assert total.is_zero
+
+
+@properties
+@given(seeds, st.integers(min_value=1, max_value=12))
+def test_tuynman_identity_is_exact(seed, m):
+    # Q_f = i T_{f - Delta f/(2m)} on rational kernels
+    f = rand(seed)
+    rhs = toeplitz_exact(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
+    assert equal_exact(prequantum_geometric(f, m), lincomb_exact([(QC_I, rhs)]))
+
+
+@properties
+@given(st.lists(seeds, min_size=1, max_size=3))
+def test_b_inverse_undoes_b(coeff_seeds):
+    series = FormalSeries(tuple(rand_complex(seed) for seed in coeff_seeds))
+    assert b_inverse(b_map(series)) == series
