@@ -4,10 +4,10 @@ Files are plain text: a header tagged with the format line
 ``btlab-matrix 2``, then a checksummed block with one line ``j k re im`` per
 nonzero entry of the exact kernel, where ``re`` and ``im`` are ``Fraction``
 strings.  A load rebuilds the matrix from that kernel exactly as a fresh
-assembly does, so a hit is the same matrix: provenance "exact", an equal
-kernel and bit-equal float entries.  Any header, checksum, count or index
-mismatch, including a file in an older format, raises CacheCorruption;
-callers recompute and overwrite.
+assembly does, so a hit is the same matrix: an equal kernel and bit-equal
+floats.  Only a matrix with an exact kernel can be stored.  Any header,
+checksum, count or index mismatch, including a file in an older format,
+raises CacheCorruption; callers recompute and overwrite.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class MatrixCache:
 
     def store(self, mat: OperatorMatrix, source: str, kind: str) -> Path:
         if mat.kernel is None:
-            raise ValueError(f"cannot cache {mat.source!r} ({mat.provenance}): no exact kernel")
+            raise ValueError(f"cannot cache a level-{mat.m} matrix with no exact kernel")
         self.root.mkdir(parents=True, exist_ok=True)
         block = "\n".join(f"{j} {k} {v.re} {v.im}" for (j, k), v in sorted(mat.kernel.items()))
         checksum = hashlib.sha256(block.encode()).hexdigest()
@@ -104,7 +104,7 @@ class MatrixCache:
             raise
         except Exception as exc:
             raise CacheCorruption(f"{path}: unreadable ({exc})") from exc
-        return from_kernel(kernel, m, "exact", source)
+        return from_kernel(kernel, m)
 
     def clear(self) -> int:
         if not self.root.exists():

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .cache import CACHE_ENV, MatrixCache, default_cache_root, symbol_hash
-from .config import BUILTIN_SYMBOLS, parse_config
+from .config import BUILTIN_SYMBOLS, check_slope_window, parse_config, parse_symbols
 from .errors import ParseError, ValidationError
 from .operators import prequantum_geometric, toeplitz_exact
 from .runner import run as run_experiment
@@ -38,11 +38,11 @@ def run_cmd(config_path, jobs, out, tolerance_slope, cache_root):
     """Execute the checks described in CONFIG_PATH and write reports."""
     try:
         cfg = parse_config(config_path)
+        if tolerance_slope is not None:
+            cfg.slope_window = check_slope_window(tolerance_slope)
     except (ParseError, ValidationError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         raise SystemExit(2)
-    if tolerance_slope is not None:
-        cfg.slope_window = tolerance_slope
     try:
         report, code = run_experiment(
             cfg,
@@ -70,10 +70,10 @@ def assemble(name, m, config_path, kind, out):
     """Assemble the operator matrix of symbol NAME at level M."""
     try:
         if config_path is not None:
-            cfg = parse_config(config_path)
-            if name not in cfg.symbols:
+            symbols = parse_symbols(config_path)
+            if name not in symbols:
                 raise ValidationError(f"symbol {name!r} not defined in {config_path}")
-            f = cfg.symbols[name]
+            f = symbols[name]
         elif name in BUILTIN_SYMBOLS:
             f = BUILTIN_SYMBOLS[name]()
         else:

@@ -28,6 +28,7 @@ comment must stand on a line of its own.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -113,8 +114,7 @@ def _parse_terms(section: str, raw: str) -> dict[tuple[int, int], QC]:
     return terms
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+def _read(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(strict=True)
     try:
         text = path.read_text()
@@ -124,6 +124,52 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
+    return parser
+
+
+def _symbol_sections(parser: configparser.ConfigParser) -> dict[str, CanonicalSymbol]:
+    symbols: dict[str, CanonicalSymbol] = {}
+    for section in parser.sections():
+        if section == "experiment":
+            continue
+        if not section.startswith("symbol "):
+            raise ValidationError(f"unexpected section [{section}]; expected [experiment] or [symbol <name>]")
+        name = section[len("symbol ") :].strip()
+        if not name:
+            raise ValidationError("symbol section needs a name: [symbol <name>]")
+        body = parser[section]
+        unknown = set(body) - {"r", "terms"}
+        if unknown:
+            raise ValidationError(f"[{section}]: unknown keys {sorted(unknown)}")
+        try:
+            r = int(body.get("R", "0"))
+        except ValueError as exc:
+            raise ValidationError(f"[{section}] R: {exc}") from exc
+        if r < 0:
+            raise ValidationError(f"[{section}] R must be >= 0")
+        terms = _parse_terms(section, body.get("terms", ""))
+        try:
+            symbols[name] = symbol(terms, r)
+        except NotSmoothAtInfinity as exc:
+            raise ValidationError(f"[{section}]: {exc}") from exc
+    return symbols
+
+
+def parse_symbols(path: str | Path) -> dict[str, CanonicalSymbol]:
+    """The ``[symbol <name>]`` sections of a config file, with no [experiment] checks."""
+    return _symbol_sections(_read(Path(path)))
+
+
+def check_slope_window(window: float) -> float:
+    """``window`` if it is a finite number >= 0; the one check for the config key and the CLI flag."""
+    if not (math.isfinite(window) and window >= 0):
+        raise ValidationError(f"slope_window must be finite and nonnegative, got {window}")
+    return window
+
+
+def parse_config(path: str | Path) -> ExperimentConfig:
+    path = Path(path)
+    parser = _read(path)
 
     if "experiment" not in parser:
         raise ValidationError(f"{path}: missing [experiment] section")
@@ -154,30 +200,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if any(m <= 0 for m in m_list) or m_list != sorted(set(m_list)):
         raise ValidationError(f"[experiment] m_list must be strictly increasing and positive, got {m_list}")
 
-    symbols: dict[str, CanonicalSymbol] = {}
-    for section in parser.sections():
-        if section == "experiment":
-            continue
-        if not section.startswith("symbol "):
-            raise ValidationError(f"unexpected section [{section}]; expected [experiment] or [symbol <name>]")
-        name = section[len("symbol ") :].strip()
-        if not name:
-            raise ValidationError("symbol section needs a name: [symbol <name>]")
-        body = parser[section]
-        unknown = set(body) - {"r", "terms"}
-        if unknown:
-            raise ValidationError(f"[{section}]: unknown keys {sorted(unknown)}")
-        try:
-            r = int(body.get("R", "0"))
-        except ValueError as exc:
-            raise ValidationError(f"[{section}] R: {exc}") from exc
-        if r < 0:
-            raise ValidationError(f"[{section}] R must be >= 0")
-        terms = _parse_terms(section, body.get("terms", ""))
-        try:
-            symbols[name] = symbol(terms, r)
-        except NotSmoothAtInfinity as exc:
-            raise ValidationError(f"[{section}]: {exc}") from exc
+    symbols = _symbol_sections(parser)
 
     active = _split_list(exp.get("symbols", "")) or list(symbols)
     missing = [n for n in active if n not in symbols]
@@ -188,11 +211,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     try:
         seed = int(exp.get("seed", "0"))
-        slope_window = float(exp.get("slope_window", "0.15"))
+        slope_window = check_slope_window(float(exp.get("slope_window", "0.15")))
     except ValueError as exc:
         raise ValidationError(f"[experiment]: {exc}") from exc
-    if slope_window < 0:
-        raise ValidationError("[experiment]: slope_window must be nonnegative")
 
     name = exp.get("name", path.stem)
     slope_checks = [c for c in checks if c in ("dirac", "product", "sass2", "spectrum")]

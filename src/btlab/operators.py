@@ -43,15 +43,13 @@ class OperatorMatrix:
     ``entries`` is the matrix in the orthonormal basis; ``kernel``, when
     present, is the exact matrix in the unnormalized monomial basis as a
     read-only map (j, k) -> QC of its nonzero entries (the two are
-    conjugate by the diagonal of basis norms).  Exact matrices, freshly
-    assembled or loaded from the disk cache, carry provenance "exact" and
-    a kernel; quadrature matrices have none.
+    conjugate by the diagonal of basis norms).  A matrix is exact exactly
+    when it has a kernel: exact assembly and the disk cache give one,
+    quadrature does not.
     """
 
     m: int
     entries: np.ndarray
-    provenance: str
-    source: str
     kernel: Kernel | None = None
 
     def __post_init__(self):
@@ -61,7 +59,7 @@ class OperatorMatrix:
         self.entries.flags.writeable = False
 
 
-def from_kernel(kernel: Kernel, m: int, provenance: str, source: str) -> OperatorMatrix:
+def from_kernel(kernel: Kernel, m: int) -> OperatorMatrix:
     """The matrix of an exact kernel given as a map (j, k) -> QC.
 
     Zero values are dropped, so equal operators have equal kernels; the
@@ -72,7 +70,7 @@ def from_kernel(kernel: Kernel, m: int, provenance: str, source: str) -> Operato
     entries = np.zeros((m + 1, m + 1), dtype=complex)
     for (j, k), v in frozen.items():
         entries[j, k] = complex(v) * (scale[j] / scale[k])
-    return OperatorMatrix(m, entries, provenance, source, frozen)
+    return OperatorMatrix(m, entries, frozen)
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -101,15 +99,15 @@ def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
     return kernel
 
 
-def toeplitz_exact(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatrix:
+def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:
     """The Toeplitz operator of f at level m: compress multiplication by f
     onto holomorphic sections.  Exact rational assembly."""
     if m < 0:
         raise ValueError("level m must be >= 0")
-    return from_kernel(_banded_kernel(m, [(f.terms, f.denom_exp, False)]), m, "exact", source or f"symbol({f!r})")
+    return from_kernel(_banded_kernel(m, [(f.terms, f.denom_exp, False)]), m)
 
 
-def prequantum_geometric(f: CanonicalSymbol, m: int, source: str = "") -> OperatorMatrix:
+def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
     """Geometric-quantization operator Q_f at level m, exactly.
 
     Compresses the prequantum operator P_f = -nabla_{X} + i f onto the
@@ -129,7 +127,7 @@ def prequantum_geometric(f: CanonicalSymbol, m: int, source: str = "") -> Operat
         ({(a, b + 1): c for (a, b), c in xz.terms.items()}, xz.denom_exp + 1, False),
         ({(a - 1, b): c * Fraction(-1, m) for (a, b), c in xz.terms.items()}, xz.denom_exp, True),
     ]
-    return from_kernel(_banded_kernel(m, families), m, "exact", source or f"prequantum({f!r})")
+    return from_kernel(_banded_kernel(m, families), m)
 
 
 # -- quadrature path --------------------------------------------------------
@@ -153,7 +151,7 @@ def _eval_on_grid(fn, z: np.ndarray) -> np.ndarray:
     return np.vectorize(lambda p: complex(fn(p)))(z)
 
 
-def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int, source: str = "") -> OperatorMatrix:
+def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int) -> OperatorMatrix:
     """Toeplitz assembly for a black-box point evaluator fn(z) -> complex.
 
     Gauss-Legendre in u = (t-1)/(t+1) times a uniform (trapezoid) rule in
@@ -187,7 +185,7 @@ def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int, source: str =
             raise QuadratureBudgetTooSmall(
                 f"Hermiticity defect {defect:.3e} at ({n_radial}, {n_angular}) nodes"
             )
-    return OperatorMatrix(m, entries, f"quadrature(gl{n_radial}x{n_angular})", source or "callable")
+    return OperatorMatrix(m, entries)
 
 
 def gram_quadrature(m: int, n_radial: int = 64, n_angular: int = 64) -> np.ndarray:
@@ -219,11 +217,11 @@ def operator_norm(x) -> float:
     return float(np.linalg.norm(arr, 2)) if arr.any() else 0.0
 
 
-def hermitian_eigenvalues(x, herm_tol: float = 1e-9) -> np.ndarray:
-    """Eigenvalues of a (numerically) Hermitian matrix, ascending."""
+def hermitian_eigenvalues(x) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending; a defect |A - A*| above 1e-9 relative raises."""
     arr = _as_array(x)
     defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if defect > herm_tol * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0):
+    if defect > 1e-9 * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
 
@@ -242,7 +240,7 @@ def adjoint(x):
         if x.kernel is not None:
             c = _binomial_row(x.m)  # basis_norm_sq(m, j) / basis_norm_sq(m, k) = C(m, k) / C(m, j)
             kernel = MappingProxyType({(k, j): v.conjugate() * Fraction(c[k], c[j]) for (j, k), v in x.kernel.items()})
-        return OperatorMatrix(x.m, x.entries.conj().T.copy(), x.provenance, f"adjoint({x.source})", kernel)
+        return OperatorMatrix(x.m, x.entries.conj().T.copy(), kernel)
     return _as_array(x).conj().T
 
 
@@ -253,7 +251,7 @@ def _require_kernels(*mats: OperatorMatrix) -> int:
     m = mats[0].m
     for mat in mats:
         if mat.kernel is None:
-            raise ValueError(f"exact kernel missing on {mat.source!r} ({mat.provenance})")
+            raise ValueError(f"no exact kernel on a level-{mat.m} matrix")
         if mat.m != m:
             raise ShapeMismatch("levels differ")
     return m
@@ -268,7 +266,7 @@ def compose_exact(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     for (j, l), alj in a.kernel.items():
         for k, blk in b_rows[l]:
             kernel[j, k] = kernel.get((j, k), QC(0)) + alj * blk
-    return from_kernel(kernel, m, "exact", f"({a.source})*({b.source})")
+    return from_kernel(kernel, m)
 
 
 def lincomb_exact(terms: list[tuple[QC | int | Fraction, OperatorMatrix]]) -> OperatorMatrix:
@@ -278,8 +276,7 @@ def lincomb_exact(terms: list[tuple[QC | int | Fraction, OperatorMatrix]]) -> Op
         c = QC.coerce(coeff)
         for key, v in mat.kernel.items():
             kernel[key] = kernel.get(key, QC(0)) + c * v
-    label = " + ".join(f"({mat.source})" for _, mat in terms)
-    return from_kernel(kernel, m, "exact", label)
+    return from_kernel(kernel, m)
 
 
 def trace_exact(a: OperatorMatrix) -> QC:
@@ -293,4 +290,4 @@ def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
 
 
 def identity_exact(m: int) -> OperatorMatrix:
-    return from_kernel({(j, j): QC(1) for j in range(m + 1)}, m, "exact", "id")
+    return from_kernel({(j, j): QC(1) for j in range(m + 1)}, m)

@@ -4,7 +4,7 @@ A run executes every requested check against the configured symbols and
 levels, records one outcome per check, and writes three artifacts into the
 output directory:
 
-    report.json   -- the full structured RunReport
+    report.json   -- the RunReport, as dataclasses.asdict gives it
     tables.csv    -- every convergence table as rows (check, m, value)
     plots/*.dat   -- one two-column gnuplot file per table
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from platform import python_version
@@ -67,14 +67,15 @@ class Assembler:
         self.assemblies = 0
         self.cache_hits = 0
         self.cache_corruptions = 0
-        self._memo: dict[tuple[str, str, int], OperatorMatrix | np.ndarray] = {}
+        self._memo: dict[tuple[str, str, int], OperatorMatrix] = {}
+        self._spectra: dict[tuple[str, int], np.ndarray] = {}
 
-    def _get(self, f: CanonicalSymbol, m: int, kind: str, build, derived: bool = False):
+    def _get(self, f: CanonicalSymbol, m: int, kind: str, build) -> OperatorMatrix:
         key = (symbol_hash(f), kind, m)
         if key in self._memo:
             return self._memo[key]
         mat = None
-        if self.cache is not None and not derived:
+        if self.cache is not None:
             try:
                 mat = self.cache.load(key[0], kind, m)
             except CacheCorruption as exc:
@@ -82,10 +83,9 @@ class Assembler:
                 self.cache_corruptions += 1
         if mat is None:
             mat = build(f, m)
-            if not derived:
-                self.assemblies += 1
-                if self.cache is not None:
-                    self.cache.store(mat, key[0], kind)
+            self.assemblies += 1
+            if self.cache is not None:
+                self.cache.store(mat, key[0], kind)
         else:
             self.cache_hits += 1
         self._memo[key] = mat
@@ -98,12 +98,14 @@ class Assembler:
         return self._get(f, m, "prequantum", prequantum_geometric)
 
     def spectrum(self, f: CanonicalSymbol, m: int) -> np.ndarray:
-        return self._get(f, m, "spectrum", lambda f, m: hermitian_eigenvalues(self.toeplitz(f, m)), derived=True)
+        key = (symbol_hash(f), m)
+        if key not in self._spectra:
+            self._spectra[key] = hermitian_eigenvalues(self.toeplitz(f, m))
+        return self._spectra[key]
 
 
 @dataclass
 class CheckOutcome:
-    name: str
     status: str
     tables: list[ConvergenceTable] = field(default_factory=list)
     details: dict = field(default_factory=dict)
@@ -121,40 +123,6 @@ class RunReport:
     counters: dict
     timings: dict
     status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "manifold": self.manifold,
-            "seed": self.seed,
-            "m_list": self.m_list,
-            "calibration": self.calibration,
-            "versions": self.versions,
-            "counters": self.counters,
-            "timings": self.timings,
-            "status": self.status,
-            "checks": {
-                name: {
-                    "status": out.status,
-                    "details": out.details,
-                    "tables": [_table_dict(t) for t in out.tables],
-                }
-                for name, out in self.checks.items()
-            },
-        }
-
-
-def _table_dict(table: ConvergenceTable) -> dict:
-    fit = None
-    if table.fit is not None:
-        fit = {
-            "slope": table.fit.slope,
-            "intercept": table.fit.intercept,
-            "residual": table.fit.residual,
-            "n_used": table.fit.n_used,
-            "exact_identity": table.fit.exact_identity,
-        }
-    return {"name": table.name, "records": [[m, v] for m, v in table.records], "fit": fit}
 
 
 def _pairs(names: list[str]) -> list[tuple[str, str]]:
@@ -182,7 +150,7 @@ def _check_norms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
             "C_max_m_defect": max(m * d for m, d in table.records),
             "exact_identity": all(abs(d) <= EXACT_ZERO_TOL for d in defects),
         }
-    return CheckOutcome("norms", "pass" if ok else "fail", tables, details)
+    return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
 def _check_dirac(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
@@ -195,10 +163,10 @@ def _check_dirac(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
         if not _slope_ok(table, threshold):
             ok = False
         details[table.name] = {"slope": table.fit.slope, "threshold": threshold}
-    return CheckOutcome("dirac", "pass" if ok else "fail", tables, details)
+    return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
-def _check_product(cfg: ExperimentConfig, assembler: Assembler, order: int, check_name: str) -> CheckOutcome:
+def _check_product(cfg: ExperimentConfig, assembler: Assembler, order: int) -> CheckOutcome:
     threshold = -float(order) + order * cfg.slope_window
     tables, details, ok = [], {}, True
     for na, nb in _pairs(cfg.active):
@@ -215,7 +183,7 @@ def _check_product(cfg: ExperimentConfig, assembler: Assembler, order: int, chec
             "threshold": threshold,
             "K_max_scaled": max(m**order * v for m, v in table.records),
         }
-    return CheckOutcome(check_name, "pass" if ok else "fail", tables, details)
+    return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
 def _check_trace(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
@@ -227,7 +195,7 @@ def _check_trace(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
         exact = all(trace_exact(assembler.toeplitz(f, m)) == QC(m + 1) * avg for m in cfg.m_list)
         ok = ok and exact
         details[name] = {"average": float(avg.re), "exact": exact}
-    return CheckOutcome("trace", "pass" if ok else "fail", tables, details)
+    return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
 def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
@@ -249,7 +217,7 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome
                 "slope": table.fit.slope,
                 "exact_identity": table.fit.exact_identity,
             }
-    return CheckOutcome("spectrum", "pass" if ok else "fail", tables, details)
+    return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
 def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
@@ -264,7 +232,7 @@ def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
         exact = all(_tuynman_holds(f, m, assembler) for m in cfg.m_list)
         ok = ok and exact
         details[name] = {"max_defect": max(table.values()), "exact": exact}
-    return CheckOutcome("tuynman", "pass" if ok else "fail", tables, details)
+    return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
 def _tuynman_holds(f: CanonicalSymbol, m: int, assembler: Assembler) -> bool:
@@ -289,7 +257,7 @@ def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutco
             "trace_antisym": rep.trace_antisym_ok,
         }
         ok = ok and rep.all_ok
-    return CheckOutcome("staraxioms", "pass" if ok else "fail", [], details)
+    return CheckOutcome("pass" if ok else "fail", [], details)
 
 
 def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
@@ -302,14 +270,14 @@ def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutc
         roundtrip = b_inverse(b_map(series)) == series
         details[f"pair{i}"] = {"nu1_defect_zero": defect_zero, "b_roundtrip": roundtrip}
         ok = ok and defect_zero and roundtrip
-    return CheckOutcome("equivalence", "pass" if ok else "fail", [], details)
+    return CheckOutcome("pass" if ok else "fail", [], details)
 
 
 _CHECKS = {
     "norms": _check_norms,
     "dirac": _check_dirac,
-    "product": lambda cfg, assembler: _check_product(cfg, assembler, 1, "product"),
-    "sass2": lambda cfg, assembler: _check_product(cfg, assembler, 2, "sass2"),
+    "product": lambda cfg, assembler: _check_product(cfg, assembler, 1),
+    "sass2": lambda cfg, assembler: _check_product(cfg, assembler, 2),
     "trace": _check_trace,
     "spectrum": _check_spectrum,
     "tuynman": _check_tuynman,
@@ -378,7 +346,7 @@ def write_report(report: RunReport, outdir: Path) -> None:
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    (outdir / "report.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
     rows = []
     for check_name, outcome in report.checks.items():

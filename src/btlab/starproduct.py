@@ -53,11 +53,6 @@ class FormalSeries:
     def coeff(self, j: int) -> CanonicalSymbol:
         return self.coeffs[j] if j <= self.order else constant(0)
 
-    def truncated(self, order: int) -> "FormalSeries":
-        if order <= self.order:
-            return FormalSeries(self.coeffs[: order + 1])
-        return FormalSeries(self.coeffs + (constant(0),) * (order - self.order))
-
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         order = max(self.order, other.order)
         return FormalSeries(tuple(self.coeff(j) + other.coeff(j) for j in range(order + 1)))
@@ -118,22 +113,18 @@ def star_geometric(fs: FormalSeries, gs: FormalSeries, order: int = 1) -> Formal
     return _star(fs, gs, order, d1)
 
 
-def b_map(fs: FormalSeries, order: int | None = None) -> FormalSeries:
-    """(id - nu*Delta/2) applied to a series, truncated."""
-    if order is None:
-        order = fs.order
+def b_map(fs: FormalSeries) -> FormalSeries:
+    """(id - nu*Delta/2) applied to a series, truncated at the series' order."""
     out = [fs.coeff(0)]
-    for n in range(1, order + 1):
+    for n in range(1, fs.order + 1):
         out.append(fs.coeff(n) - laplacian(fs.coeff(n - 1)).scale(Fraction(1, 2)))
     return FormalSeries(tuple(out))
 
 
-def b_inverse(fs: FormalSeries, order: int | None = None) -> FormalSeries:
-    """Truncated Neumann inverse of b_map: sum_k nu^k Delta^k/2^k."""
-    if order is None:
-        order = fs.order
+def b_inverse(fs: FormalSeries) -> FormalSeries:
+    """Neumann inverse of b_map, sum_k nu^k Delta^k/2^k, truncated at the series' order."""
     out = []
-    for n in range(order + 1):
+    for n in range(fs.order + 1):
         term = constant(0)
         for k in range(n + 1):
             g = fs.coeff(n - k)
@@ -148,7 +139,7 @@ def check_equivalence(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol
     """nu^1 coefficient of b(f) * b(g) - b(f *_G g); the zero symbol iff the
     two star products are intertwined by b at first order."""
     lhs = star_bt(b_map(FormalSeries.of(f, 1)), b_map(FormalSeries.of(g, 1)), 1)
-    rhs = b_map(star_geometric(FormalSeries.of(f, 1), FormalSeries.of(g, 1), 1), 1)
+    rhs = b_map(star_geometric(FormalSeries.of(f, 1), FormalSeries.of(g, 1), 1))
     return (lhs - rhs).coeff(1)
 
 

@@ -368,20 +368,20 @@ def flip_chart(f: CanonicalSymbol) -> CanonicalSymbol:
     return CanonicalSymbol({(r - a, r - b): c for (a, b), c in f.terms.items()}, r)
 
 
-def sup_norm(f: CanonicalSymbol, initial: int = 256, refinements: int = 2) -> float:
+def sup_norm(f: CanonicalSymbol) -> float:
     """Certified lower bound for the sup of |f| over the sphere.
 
-    Scans a uniform (cos theta, phi) grid of ``initial``^2 cells (poles
-    included) and refines twice around the arg-max cell; the returned grid
-    maximum is always a true lower bound for the supremum.  For smooth
-    maxima two refinement passes converge to ~1e-9 relative.
+    Scans a uniform (cos theta, phi) grid of 256^2 cells (poles included)
+    and refines twice around the arg-max cell; the returned grid maximum is
+    always a true lower bound for the supremum.  For smooth maxima two
+    refinement passes converge to ~1e-9 relative.
     """
     if not f.is_real:
         raise ValueError("sup_norm requires a real symbol")
-    u = np.linspace(-1.0, 1.0, initial + 1)
-    phi = np.linspace(0.0, 2.0 * np.pi, initial, endpoint=False)
+    u = np.linspace(-1.0, 1.0, 257)
+    phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     best = 0.0
-    for _ in range(refinements + 1):
+    for _ in range(3):
         vals = np.abs(f.eval_sphere_grid(u, phi))
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best = max(best, float(vals[i, j]))
@@ -418,19 +418,20 @@ def _finite_diff_wirtinger(fn, z: complex, which: str, eps: float = 1e-6) -> com
     return 0.5 * (fx - 1j * fy) if which == "dz" else 0.5 * (fx + 1j * fy)
 
 
-def calibrate_hamiltonian_phase(seed: int = 0, points: int = 20, tol: float = 1e-8) -> QC:
+def calibrate_hamiltonian_phase(seed: int = 0) -> QC:
     """Fix the phase sigma in X_f^z = sigma (1+t)^2 df/dzbar by oracle.
 
-    Checks omega(X_f, v) = df(v) at random chart points and directions,
-    with df evaluated by central finite differences, for both candidate
-    phases +-i.  Returns the matching phase (the frozen HAMILTONIAN_PHASE).
+    Checks omega(X_f, v) = df(v) to 1e-8 relative at 20 random chart points
+    and directions, with df evaluated by central finite differences, for
+    both candidate phases +-i.  Returns the matching phase (the frozen
+    HAMILTONIAN_PHASE).
     """
     rng = random.Random(seed)
     f = random_real_symbol(seed + 101, 2)
     fn = f.evaluate
     candidates = {QC(0, -1): -1j, QC(0, 1): 1j}
     surviving = set(candidates)
-    for _ in range(points):
+    for _ in range(20):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = (z * z.conjugate()).real
@@ -440,7 +441,7 @@ def calibrate_hamiltonian_phase(seed: int = 0, points: int = 20, tol: float = 1e
             xz = candidates[phase] * (1 + t) ** 2 * dfdzbar
             xzbar = xz.conjugate()
             omega_xv = 1j * (1 + t) ** -2 * (xz * v.conjugate() - xzbar * v)
-            if abs(omega_xv - df_v) > tol * max(1.0, abs(df_v)):
+            if abs(omega_xv - df_v) > 1e-8 * max(1.0, abs(df_v)):
                 surviving.discard(phase)
     if len(surviving) != 1:
         raise RuntimeError(f"calibration did not isolate a unique phase: {surviving}")

@@ -20,13 +20,13 @@ from btlab.operators import OperatorMatrix
 from btlab.symbols import CanonicalSymbol, ChartRational, hamiltonian_field
 
 
-def matrix_reference(kernel: dict, m: int, source: str) -> OperatorMatrix:
+def matrix_reference(kernel: dict, m: int) -> OperatorMatrix:
     frozen = MappingProxyType({key: v for key, v in kernel.items() if v})
     scale = [sqrt(float(basis_norm_sq(m, j))) for j in range(m + 1)]
     entries = np.zeros((m + 1, m + 1), dtype=complex)
     for (j, k), v in frozen.items():
         entries[j, k] = complex(v) * (scale[j] / scale[k])
-    return OperatorMatrix(m, entries, "exact", source, frozen)
+    return OperatorMatrix(m, entries, frozen)
 
 
 def radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:
@@ -49,7 +49,7 @@ def toeplitz_reference(f: ChartRational, m: int) -> OperatorMatrix:
                 continue
             s = (a + b + j + k) // 2
             kernel[j, k] = kernel.get((j, k), QC(0)) + c * radial_fraction(m, r, j, s)
-    return matrix_reference(kernel, m, f"symbol({f!r})")
+    return matrix_reference(kernel, m)
 
 
 def pairing_kernel_column(g: ChartRational, m: int) -> list[QC]:
@@ -81,4 +81,4 @@ def prequantum_reference(f: CanonicalSymbol, m: int) -> OperatorMatrix:
         for j, v in enumerate(pairing_kernel_column(g, m)):
             if v:
                 kernel[j, k] = v
-    return matrix_reference(kernel, m, f"prequantum({f!r})")
+    return matrix_reference(kernel, m)

@@ -298,7 +298,7 @@ terms =
     ok = (
         ok
         and runner.invoke(
-            cli_main, ["run", str(cfg_path), "--cache-root", str(cache_root), "--tolerance-slope", "-5"]
+            cli_main, ["run", str(cfg_path), "--cache-root", str(cache_root), "--tolerance-slope", "0"]
         ).exit_code
         == 1
     )

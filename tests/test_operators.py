@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from btlab.cache import MatrixCache
 from btlab.errors import QuadratureBudgetTooSmall, ShapeMismatch
 from btlab.exact import QC
 from btlab.operators import (
@@ -143,6 +144,25 @@ def test_quadrature_spectral_convergence():
     ]
     assert errs[1] < errs[0] * 1e-3
     assert errs[2] < 1e-12
+
+
+def test_quadrature_matrix_has_no_kernel_and_exact_operations_reject_it(height, tmp_path):
+    q = toeplitz_quadrature(height.evaluate, 2, 64, 64)
+    e = toeplitz_exact(height, 2)
+    assert q.kernel is None and e.kernel is not None
+    rejections = [
+        lambda: equal_exact(q, e),
+        lambda: equal_exact(e, q),
+        lambda: trace_exact(q),
+        lambda: lincomb_exact([(1, e), (1, q)]),
+        lambda: compose_exact(e, q),
+        lambda: compose_exact(q, e),
+        lambda: MatrixCache(tmp_path / "cache").store(q, "0" * 64, "toeplitz"),
+    ]
+    for call in rejections:
+        with pytest.raises(ValueError, match="no exact kernel"):
+            call()
+    assert not (tmp_path / "cache").exists()  # nothing was written
 
 
 def test_quadrature_budget_validation():
