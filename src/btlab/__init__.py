@@ -33,13 +33,11 @@ from .semiclassics import (
     ConvergenceTable,
     FitResult,
     dirac_defect,
-    extract_tau,
     loglog_slope,
     norm_defect,
     sass_remainder,
     spectral_moment,
     sweep,
-    trace_sequence,
     tuynman_defect,
 )
 from .starproduct import (

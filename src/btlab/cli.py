@@ -30,11 +30,10 @@ def main():
 
 @main.command("run")
 @click.argument("config_path", type=click.Path())
-@click.option("--jobs", type=int, default=None, hidden=True, help="ignored; sweeps run in one thread")
 @click.option("--out", type=click.Path(), default=None, help="Report directory (overrides config).")
 @click.option("--tolerance-slope", type=float, default=None, help="Slope window (overrides config).")
 @click.option("--cache-root", type=click.Path(), default=None, help=f"Cache directory (default ${CACHE_ENV} or ~/.cache/btlab).")
-def run_cmd(config_path, jobs, out, tolerance_slope, cache_root):
+def run_cmd(config_path, out, tolerance_slope, cache_root):
     """Execute the checks described in CONFIG_PATH and write reports."""
     try:
         cfg = parse_config(config_path)

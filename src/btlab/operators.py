@@ -188,8 +188,9 @@ def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int) -> OperatorMa
     return OperatorMatrix(m, entries)
 
 
-def gram_quadrature(m: int, n_radial: int = 64, n_angular: int = 64) -> np.ndarray:
-    """Gram matrix <z^j, z^k> of the unnormalized monomials by quadrature."""
+def gram_quadrature(m: int) -> np.ndarray:
+    """Gram matrix <z^j, z^k> of the unnormalized monomials by quadrature on 64 x 64 nodes."""
+    n_radial = n_angular = 64
     u, w, phi = _sphere_rule(n_radial, n_angular)
     tau_hi = (1.0 + u) / 2.0
     tau_lo = (1.0 - u) / 2.0
@@ -234,13 +235,14 @@ def commutator(x, y) -> np.ndarray:
 
 
 def adjoint(x):
-    """Hermitian adjoint; exact on the monomial-basis kernel when present."""
+    """Hermitian adjoint.  An exact matrix's adjoint is exact, and its floats come from
+    its kernel alone, as for any other exact matrix; a quadrature matrix's floats are
+    conjugate-transposed."""
     if isinstance(x, OperatorMatrix):
-        kernel = None
-        if x.kernel is not None:
-            c = _binomial_row(x.m)  # basis_norm_sq(m, j) / basis_norm_sq(m, k) = C(m, k) / C(m, j)
-            kernel = MappingProxyType({(k, j): v.conjugate() * Fraction(c[k], c[j]) for (j, k), v in x.kernel.items()})
-        return OperatorMatrix(x.m, x.entries.conj().T.copy(), kernel)
+        if x.kernel is None:
+            return OperatorMatrix(x.m, x.entries.conj().T.copy())
+        c = _binomial_row(x.m)  # basis_norm_sq(m, j) / basis_norm_sq(m, k) = C(m, k) / C(m, j)
+        return from_kernel({(k, j): v.conjugate() * Fraction(c[k], c[j]) for (j, k), v in x.kernel.items()}, x.m)
     return _as_array(x).conj().T
 
 

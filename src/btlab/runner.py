@@ -4,7 +4,7 @@ A run executes every requested check against the configured symbols and
 levels, records one outcome per check, and writes three artifacts into the
 output directory:
 
-    report.json   -- the RunReport, as dataclasses.asdict gives it
+    report.json   -- the RunReport, as dataclasses.asdict gives it, in strict JSON
     tables.csv    -- every convergence table as rows (check, m, value)
     plots/*.dat   -- one two-column gnuplot file per table
 
@@ -60,7 +60,8 @@ NORM_CONTRACTION_TOL = 1e-9
 
 
 class Assembler:
-    """Cache-aware matrix factory with hit/assembly counters; spectra are memoized, never cached or counted."""
+    """Cache-aware matrix factory with hit/assembly counters and the run's one memo, keyed by
+    (symbol hash, kind, level); a check that needs a spectrum computes it from the memoized matrix."""
 
     def __init__(self, cache: MatrixCache | None):
         self.cache = cache
@@ -68,7 +69,6 @@ class Assembler:
         self.cache_hits = 0
         self.cache_corruptions = 0
         self._memo: dict[tuple[str, str, int], OperatorMatrix] = {}
-        self._spectra: dict[tuple[str, int], np.ndarray] = {}
 
     def _get(self, f: CanonicalSymbol, m: int, kind: str, build) -> OperatorMatrix:
         key = (symbol_hash(f), kind, m)
@@ -96,12 +96,6 @@ class Assembler:
 
     def prequantum(self, f: CanonicalSymbol, m: int) -> OperatorMatrix:
         return self._get(f, m, "prequantum", prequantum_geometric)
-
-    def spectrum(self, f: CanonicalSymbol, m: int) -> np.ndarray:
-        key = (symbol_hash(f), m)
-        if key not in self._spectra:
-            self._spectra[key] = hermitian_eigenvalues(self.toeplitz(f, m))
-        return self._spectra[key]
 
 
 @dataclass
@@ -202,13 +196,10 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome
     threshold = -1.0 + cfg.slope_window
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
+        spectra = {m: hermitian_eigenvalues(assembler.toeplitz(f, m)) for m in cfg.m_list}  # one per level
         for k in (1, 2, 3):
             limit = float(moment_limit(f, k).re)
-            table = sweep(
-                f"{name}-k{k}",
-                cfg.m_list,
-                lambda m: abs(spectral_moment(f, m, k, spectrum=assembler.spectrum) - limit),
-            )
+            table = sweep(f"{name}-k{k}", cfg.m_list, lambda m: abs(spectral_moment(spectra[m], k) - limit))
             tables.append(table)
             if not _slope_ok(table, threshold):
                 ok = False
@@ -346,7 +337,7 @@ def write_report(report: RunReport, outdir: Path) -> None:
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    (outdir / "report.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     rows = []
     for check_name, outcome in report.checks.items():

@@ -20,11 +20,9 @@ from .exact import QC
 from .operators import (
     OperatorMatrix,
     commutator,
-    hermitian_eigenvalues,
     operator_norm,
     prequantum_geometric,
     toeplitz_exact,
-    trace_exact,
 )
 from .starproduct import c1
 from .symbols import CanonicalSymbol, average, laplacian, poisson_bracket, sup_norm
@@ -35,8 +33,10 @@ EXACT_ZERO_TOL = 1e-13
 
 @dataclass
 class FitResult:
-    slope: float
-    intercept: float
+    """A log-log line fit; an exact identity has no line, so its slope and intercept are None."""
+
+    slope: float | None
+    intercept: float | None
     residual: float
     n_used: int
     exact_identity: bool = False
@@ -62,13 +62,13 @@ class ConvergenceTable:
 def loglog_slope(table: ConvergenceTable) -> FitResult:
     """Least-squares slope of log(value) vs log(m) over the upper half of
     the sweep.  Near-zero values are excluded; if fewer than two survive the
-    table is flagged as an exact identity (slope -inf)."""
+    table is flagged as an exact identity, with no slope or intercept."""
     if len(table.records) < 4:
         raise DegenerateTable(f"{table.name}: need >= 4 records, have {len(table.records)}")
     upper = table.records[len(table.records) // 2 :]
     pts = [(m, v) for m, v in upper if v > EXACT_ZERO_TOL]
     if len(pts) < 2:
-        table.fit = FitResult(float("-inf"), float("nan"), 0.0, len(pts), exact_identity=True)
+        table.fit = FitResult(None, None, 0.0, len(pts), exact_identity=True)
         return table.fit
     xs = np.log([m for m, _ in pts])
     ys = np.log([v for _, v in pts])
@@ -136,12 +136,11 @@ def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequant
     return operator_norm(q.entries - 1j * rhs.entries)
 
 
-def spectral_moment(f: CanonicalSymbol, m: int, k: int, spectrum=None) -> float:
-    """(1/m) sum of the k-th powers of the level-m Toeplitz eigenvalues, from ``spectrum(f, m)`` if given."""
+def spectral_moment(eigs: np.ndarray, k: int) -> float:
+    """(1/m) sum of the k-th powers of a level-m spectrum, which has m + 1 eigenvalues."""
     if k < 1:
         raise ValueError("moment order k must be >= 1")
-    eigs = spectrum(f, m) if spectrum is not None else hermitian_eigenvalues(toeplitz_exact(f, m))
-    return float(np.sum(eigs**k) / m)
+    return float(np.sum(eigs**k) / (eigs.size - 1))
 
 
 def moment_limit(f: CanonicalSymbol, k: int) -> QC:
@@ -150,25 +149,3 @@ def moment_limit(f: CanonicalSymbol, k: int) -> QC:
     for _ in range(k - 1):
         fk = fk * f
     return average(fk)
-
-
-def trace_sequence(f: CanonicalSymbol, m_list) -> ConvergenceTable:
-    return sweep("trace", m_list, lambda m: float(trace_exact(toeplitz_exact(f, m)).re))
-
-
-def extract_tau(f: CanonicalSymbol, m_list=DEFAULT_SWEEP) -> tuple[QC, QC]:
-    """Fit Tr T_f^(m) = tau0*m + tau1 exactly over the sweep.
-
-    The trace is exactly linear in m on this geometry; any nonlinearity
-    signals an assembly bug and raises.
-    """
-    ms = list(m_list)
-    if len(ms) < 2:
-        raise ValueError("need at least two levels to extract tau")
-    tr = {m: trace_exact(toeplitz_exact(f, m)) for m in ms}
-    tau0 = (tr[ms[1]] - tr[ms[0]]) / QC(ms[1] - ms[0])
-    tau1 = tr[ms[0]] - tau0 * QC(ms[0])
-    for m in ms[2:]:
-        if tr[m] != tau0 * QC(m) + tau1:
-            raise RuntimeError(f"trace is not linear in m at level {m}")
-    return tau0, tau1

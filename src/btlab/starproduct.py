@@ -88,11 +88,10 @@ def _coeff_map(order_one, k: int, f: CanonicalSymbol, g: CanonicalSymbol) -> Can
     raise UnknownCoefficientOrder(f"coefficient of order {k} is not available")
 
 
-def _star(fs: FormalSeries, gs: FormalSeries, order: int, order_one) -> FormalSeries:
+def _star(fs: FormalSeries, gs: FormalSeries, order_one) -> FormalSeries:
+    order = min(fs.order, gs.order)
     if order > 2:
         raise UnknownCoefficientOrder(f"truncation order {order} exceeds the known coefficients")
-    if order > min(fs.order, gs.order):
-        raise ValueError("truncation order exceeds the operand orders")
     out = []
     for n in range(order + 1):
         term = constant(0)
@@ -103,14 +102,16 @@ def _star(fs: FormalSeries, gs: FormalSeries, order: int, order_one) -> FormalSe
     return FormalSeries(tuple(out))
 
 
-def star_bt(fs: FormalSeries, gs: FormalSeries, order: int = 1) -> FormalSeries:
-    """Toeplitz star product, truncated: Cauchy product over c0, c1."""
-    return _star(fs, gs, order, c1)
+def star_bt(fs: FormalSeries, gs: FormalSeries) -> FormalSeries:
+    """Toeplitz star product, truncated at the lower of the two operand orders:
+    Cauchy product over c0, c1."""
+    return _star(fs, gs, c1)
 
 
-def star_geometric(fs: FormalSeries, gs: FormalSeries, order: int = 1) -> FormalSeries:
-    """Geometric-quantization star product, truncated: Cauchy product over d0, d1."""
-    return _star(fs, gs, order, d1)
+def star_geometric(fs: FormalSeries, gs: FormalSeries) -> FormalSeries:
+    """Geometric-quantization star product, truncated at the lower of the two
+    operand orders: Cauchy product over d0, d1."""
+    return _star(fs, gs, d1)
 
 
 def b_map(fs: FormalSeries) -> FormalSeries:
@@ -138,8 +139,8 @@ def b_inverse(fs: FormalSeries) -> FormalSeries:
 def check_equivalence(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
     """nu^1 coefficient of b(f) * b(g) - b(f *_G g); the zero symbol iff the
     two star products are intertwined by b at first order."""
-    lhs = star_bt(b_map(FormalSeries.of(f, 1)), b_map(FormalSeries.of(g, 1)), 1)
-    rhs = b_map(star_geometric(FormalSeries.of(f, 1), FormalSeries.of(g, 1), 1))
+    lhs = star_bt(b_map(FormalSeries.of(f, 1)), b_map(FormalSeries.of(g, 1)))
+    rhs = b_map(star_geometric(FormalSeries.of(f, 1), FormalSeries.of(g, 1)))
     return (lhs - rhs).coeff(1)
 
 
@@ -162,7 +163,7 @@ def check_axioms(f: CanonicalSymbol, g: CanonicalSymbol, h: CanonicalSymbol) -> 
     unit_ok = (
         c1(one, g).is_zero
         and c1(g, one).is_zero
-        and star_bt(FormalSeries.of(one, 1), FormalSeries.of(g, 1), 1) == FormalSeries.of(g, 1)
+        and star_bt(FormalSeries.of(one, 1), FormalSeries.of(g, 1)) == FormalSeries.of(g, 1)
     )
     parity_ok = c1(f, g).conjugate() == c1(g.conjugate(), f.conjugate())
     lhs = f * c1(g, h) + c1(f, g * h)
@@ -198,15 +199,16 @@ def tau(f: CanonicalSymbol, j: int) -> QC:
     return average(f)
 
 
-def formal_trace(fs: FormalSeries, order: int = 1) -> TraceSeries:
-    """The formal trace of a series, through the nu^(order-1) coefficient.
+def formal_trace(fs: FormalSeries) -> TraceSeries:
+    """The formal trace of a series, truncated at the series' own order N:
+    through the nu^(N-1) coefficient.
 
     Tr F = nu^{-1} sum_j nu^j tau_j(F), extended nu-linearly; with tau_j
-    known for j <= 1 the output carries powers nu^{-1} .. nu^{order-1}.
+    known for j <= 1 the output carries powers nu^{-1} .. nu^{N-1}, N <= 1.
     """
-    if order > 1:
+    if fs.order > 1:
         raise UnknownCoefficientOrder("formal_trace supports order <= 1")
     coeffs = [tau(fs.coeff(0), 0)]
-    for p in range(order):
+    for p in range(fs.order):
         coeffs.append(tau(fs.coeff(p), 1) + tau(fs.coeff(p + 1), 0))
     return TraceSeries(tuple(coeffs))

@@ -15,7 +15,7 @@ from btlab.cache import MatrixCache, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
-from btlab.operators import toeplitz_exact
+from btlab.operators import hermitian_eigenvalues, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
 from btlab.semiclassics import moment_limit, spectral_moment
 from btlab.symbols import sphere_height
@@ -343,11 +343,12 @@ def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
     report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
     assert code == 0
     assert len(calls) == 4  # moments k = 1, 2, 3 share one spectrum per level
-    assert report.counters["assemblies"] == 4  # a spectrum is memoized, not assembled
+    assert report.counters["assemblies"] == 4  # one T_height per level
     f = sphere_height()
+    spectra = {m: hermitian_eigenvalues(toeplitz_exact(f, m)) for m in (2, 4, 8, 16)}
     for k, table in zip((1, 2, 3), report.checks["spectrum"].tables):
         limit = float(moment_limit(f, k).re)
-        assert table.records == [(m, abs(spectral_moment(f, m, k) - limit)) for m in (2, 4, 8, 16)]
+        assert table.records == [(m, abs(spectral_moment(spectra[m], k) - limit)) for m in (2, 4, 8, 16)]
 
 
 def test_report_files_written(tmp_path):
@@ -414,17 +415,12 @@ def test_cli_run_rejects_a_non_real_symbol(tmp_path, check):
     assert "'height'" in result.output and f"'{check}'" in result.output
 
 
-def test_cli_run_accepts_and_ignores_jobs(tmp_path):
-    cfg_path = write_cfg(tmp_path, FULL.format(out=tmp_path / "unused"))
-    runner = CliRunner()
-    assert "--jobs" not in runner.invoke(main, ["run", "--help"]).output
-    tables = []
-    for name, extra in (("plain", []), ("jobs", ["--jobs", "3"])):
-        out = tmp_path / name
-        args = ["run", str(cfg_path), "--out", str(out), "--cache-root", str(tmp_path / f"cache-{name}"), *extra]
-        assert runner.invoke(main, args).exit_code == 0
-        tables.append((out / "tables.csv").read_bytes())
-    assert tables[0] == tables[1]
+def test_cli_run_has_no_jobs_option(tmp_path):
+    text = MINIMAL.replace("m_list = 2, 4, 8", f"m_list = 2, 4, 8\noutput = {tmp_path / 'out'}")
+    result = CliRunner().invoke(main, ["run", str(write_cfg(tmp_path, text)), "--jobs", "3"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--jobs" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_exit_three_on_internal_error(tmp_path, monkeypatch):
@@ -529,6 +525,31 @@ def test_report_json_schema_and_report_command(tmp_path):
     for name, fit in fits:
         line = f"{name:20s} exact identity" if fit["exact_identity"] else f"{name:20s} slope {fit['slope']:+.3f}"
         assert line in result.output
+
+
+def _strict_json(text: str):
+    """json.loads, refusing the NaN/Infinity tokens that strict JSON readers reject."""
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_full_report_is_strict_json(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, FULL.format(out=tmp_path / "out")))
+    _, code = run_experiment(cfg, cache_root=tmp_path / "cache")
+    assert code == 0
+    data = _strict_json((tmp_path / "out" / "report.json").read_text())
+    spectrum = data["checks"]["spectrum"]
+    exact = [table for table in spectrum["tables"] if table["fit"]["exact_identity"]]
+    assert {table["name"] for table in exact} == {"xcoord-k1", "xcoord-k3"}
+    for table in exact:
+        assert table["fit"]["slope"] is None and table["fit"]["intercept"] is None
+        assert spectrum["details"][table["name"]]["slope"] is None
+    result = CliRunner().invoke(main, ["report", str(tmp_path / "out")])
+    assert result.exit_code == 0
+    assert f"{'xcoord-k1':20s} exact identity" in result.output
 
 
 def test_cli_report_and_cache_clear(tmp_path):

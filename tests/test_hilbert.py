@@ -66,7 +66,7 @@ def test_bergman_symbol_reduces_to_constant_and_counts_dimension():
 
 def test_gram_matrix_diagonal_and_matches_norms():
     m = 6
-    gram = gram_quadrature(m, 64, 64)
+    gram = gram_quadrature(m)
     for j in range(m + 1):
         for k in range(m + 1):
             if j == k:

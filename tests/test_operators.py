@@ -172,7 +172,7 @@ def test_quadrature_budget_validation():
 
 def test_gram_rank_matches_dimension():
     for m in (0, 3, 10):
-        gram = gram_quadrature(m, 64, 64)
+        gram = gram_quadrature(m)
         eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         assert int(np.sum(eigs > 1e-8 * eigs.max())) == m + 1
 

@@ -1,5 +1,5 @@
 """Property tests: the exact kernel arithmetic against the float matrices,
-the banded assembly against the entry-by-entry reference, the disk cache
+equal kernels giving bit-equal floats, the banded assembly against the entry-by-entry reference, the disk cache
 as an exact round trip, the uniqueness of the canonical form, the
 Leibniz and Jacobi identities of the Poisson bracket, Tuynman's identity
 and the inverse of the equivalence b, over random symbols and levels."""
@@ -86,6 +86,24 @@ def test_rational_scaling_is_the_full_product(q, r):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@properties
+@given(seeds, seeds, st.booleans(), levels)
+def test_equal_kernels_give_equal_floats(seed_f, seed_g, real, m):
+    # every exact matrix takes its floats from its kernel alone, whichever operation built it
+    f, g = (rand(seed_f), rand(seed_g)) if real else (rand_complex(seed_f), rand_complex(seed_g))
+    a, b = toeplitz_exact(f, m), toeplitz_exact(g, m)
+    made = [a, adjoint(a), lincomb_exact([(QC(2, -1), a), (Fraction(-1, 3), b)]), compose_exact(a, b)]
+    if m >= 1:
+        made.append(prequantum_geometric(rand(seed_f), m))
+    with tempfile.TemporaryDirectory() as root:
+        cache = MatrixCache(Path(root))
+        cache.store(made[-1], "0" * 64, "toeplitz")
+        made.append(cache.load("0" * 64, "toeplitz", m))
+    for mat in made:
+        assert _same_bits(mat.entries, from_kernel(mat.kernel, m).entries)
+    assert _same_bits(adjoint(a).entries, toeplitz_exact(f.conjugate(), m).entries)
 
 
 @properties

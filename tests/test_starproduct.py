@@ -70,12 +70,12 @@ def test_parity_identity():
 
 def test_star_unit(one, xcoord):
     g = FormalSeries.of(xcoord, 1)
-    assert star_bt(FormalSeries.of(one, 1), g, 1) == g
-    assert star_bt(g, FormalSeries.of(one, 1), 1) == g
+    assert star_bt(FormalSeries.of(one, 1), g) == g
+    assert star_bt(g, FormalSeries.of(one, 1)) == g
 
 
 def test_star_height_squared(height):
-    s = star_bt(FormalSeries.of(height, 1), FormalSeries.of(height, 1), 1)
+    s = star_bt(FormalSeries.of(height, 1), FormalSeries.of(height, 1))
     assert s.coeffs[0] == height * height
     assert s.coeffs[1] == c1(height, height)
 
@@ -84,23 +84,23 @@ def test_star_antisymmetric_part():
     for seed in range(5):
         f, g = rand(seed), rand(seed + 80)
         fs, gs = FormalSeries.of(f, 1), FormalSeries.of(g, 1)
-        diff = star_bt(fs, gs, 1) - star_bt(gs, fs, 1)
+        diff = star_bt(fs, gs) - star_bt(gs, fs)
         assert diff.coeffs[0].is_zero
         assert diff.coeffs[1] == poisson_bracket(f, g).scale(QC(0, -1))
 
 
 def test_star_order_zero_is_pointwise_product():
     f, g = rand(90), rand(91)
-    s = star_bt(FormalSeries.of(f, 1), FormalSeries.of(g, 1), 1)
+    s = star_bt(FormalSeries.of(f, 1), FormalSeries.of(g, 1))
     assert s.coeffs[0] == f * g
 
 
 def test_star_order_two_needs_unknown_coefficient(height, one):
     two = FormalSeries.of(height, 2)
     with pytest.raises(UnknownCoefficientOrder):
-        star_bt(two, two, 2)
+        star_bt(two, two)
     # a constant order-0 factor kills every unavailable term
-    s = star_bt(FormalSeries.of(one, 2), two, 2)
+    s = star_bt(FormalSeries.of(one, 2), two)
     assert s == two
 
 
@@ -127,11 +127,11 @@ def test_d1_direct_assembly(height):
 
 
 def test_star_geometric_coefficients(height, xcoord, one):
-    s = star_geometric(FormalSeries.of(height, 1), FormalSeries.of(xcoord, 1), 1)
+    s = star_geometric(FormalSeries.of(height, 1), FormalSeries.of(xcoord, 1))
     assert s.coeffs[0] == height * xcoord
     assert s.coeffs[1] == d1(height, xcoord)
     g = FormalSeries.of(xcoord, 1)
-    assert star_geometric(FormalSeries.of(one, 1), g, 1) == g
+    assert star_geometric(FormalSeries.of(one, 1), g) == g
 
 
 # -- the intertwining map ------------------------------------------------------------
@@ -195,8 +195,8 @@ def test_formal_trace_of_height(height):
 def test_formal_trace_kills_commutators():
     f, g = rand(5), rand(55)
     comm_nu1 = (
-        star_bt(FormalSeries.of(f, 1), FormalSeries.of(g, 1), 1)
-        - star_bt(FormalSeries.of(g, 1), FormalSeries.of(f, 1), 1)
+        star_bt(FormalSeries.of(f, 1), FormalSeries.of(g, 1))
+        - star_bt(FormalSeries.of(g, 1), FormalSeries.of(f, 1))
     ).coeffs[1]
     assert average(comm_nu1) == QC(0)
     assert formal_trace(FormalSeries.of(comm_nu1, 1)).coeff(-1) == QC(0)
@@ -206,7 +206,7 @@ def test_trace_coefficients_beyond_order_one_unavailable(height):
     with pytest.raises(UnknownCoefficientOrder):
         tau(height, 2)
     with pytest.raises(UnknownCoefficientOrder):
-        formal_trace(FormalSeries.of(height, 2), order=2)
+        formal_trace(FormalSeries.of(height, 2))
 
 
 def test_series_validation():
