@@ -19,8 +19,10 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        """A ``Fraction`` part is kept as it is: it is already normalized, and every
+        arithmetic result arrives as one.  Ints and other rationals are converted."""
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QC values are immutable")
@@ -83,7 +85,8 @@ class QC:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it must hash like one (as complex does)
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

@@ -11,9 +11,11 @@ z^k, the angular integral enforces j = a + k - b and the radial integral is
 B(s+1, m+R+1-s) with s = a + k.  By that U(1) selection rule a symbol of
 exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a kernel is a
 read-only map (j, k) -> QC holding only its nonzero entries; an absent key
-is an exact zero.  Assembly is banded: each monomial fills its one diagonal
-from the binomial rows C(m, .) and C(m+R, .), computed once per level by
-recurrence, with one rational per entry and no symbolic product.
+is an exact zero.  Assembly is banded and in closed form, with no symbolic
+product: each monomial z^a zbar^b fills its one diagonal, where an entry is
+(j+1)...(j+b) (m-j+1)...(m-j+R-b), a product of R small integers, over the
+one level denominator (m+2)...(m+R+1).  Entries sum integer numerators over
+a common denominator and become one ``Fraction`` per nonzero part at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import sqrt
+from math import lcm, perm, sqrt
 from types import MappingProxyType
 
 import numpy as np
@@ -81,22 +83,47 @@ def _binomial_row(n: int) -> list[int]:
 def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
     """The exact kernel <z^j, g_k> / (2*pi ||z^j||^2) of columns g_k summed from
     ``families`` (terms, r, by_k): each term (a, b) -> c adds c z^(a+k) zbar^b / (1+t)^r,
-    times k if ``by_k``, on the diagonal j = a + k - b only, with the Beta-integral
-    value c (m+1) C(m,j) / ((x+1) C(x,s)), x = m + r, s = a + k."""
-    kernel: dict[tuple[int, int], QC] = {}
-    cm = _binomial_row(m)
+    times k if ``by_k``, on the diagonal j = a + k - b only.
+
+    Its Beta-integral value is c (m+1) C(m,j) / ((x+1) C(x,s)) with x = m + r and
+    s = a + k = j + b, which is c (j+1)...(j+b) * (x-s)!/(m-j)! / D_r with
+    D_r = (m+2)...(m+r+1).  For b <= r, as for every canonical symbol and every
+    family of Q_f, (x-s)!/(m-j)! = (m-j+1)...(m-j+r-b): the entry is r small integers
+    over D_r.  For b > r it is the reciprocal 1/((x-s+1)...(m-j)), which only a
+    non-canonical chart rational reaches.  Each entry sums integer numerators over
+    one denominator, the lcm of every family's D_r times its coefficients'
+    denominators, and becomes one ``Fraction`` per nonzero part at the end.
+    """
+    den = lcm(*(perm(m + r + 1, r) * lcm(*(p.denominator for c in terms.values() for p in (c.re, c.im)))
+                for terms, r, _ in families))
+    acc: dict[tuple[int, int], tuple[int, int, int]] = {}  # (j, k) -> (re, im, denominator)
     for terms, r, by_k in families:
-        x, cx = m + r, _binomial_row(m + r)
+        x, base = m + r, den // perm(m + r + 1, r)
         for (a, b), c in terms.items():
             lo, hi = max(0, b - a), min(m, m + b - a)
             if lo <= hi and a + hi > x:
                 raise ValueError(f"non-integrable pairing: s={max(a + lo, x + 1)} exceeds m+R={x}")
+            c_re = c.re.numerator * (base // c.re.denominator)
+            c_im = c.im.numerator * (base // c.im.denominator)
             for k in range(max(lo, 1) if by_k else lo, hi + 1):
                 j = a + k - b
-                rho = Fraction((m + 1) * cm[j] * (k if by_k else 1), (x + 1) * cx[a + k])
-                v = QC(c.re * rho, c.im * rho)
-                kernel[j, k] = kernel[j, k] + v if (j, k) in kernel else v
-    return kernel
+                n, d = perm(j + b, b) * (k if by_k else 1), den
+                if b <= r:
+                    n *= perm(m - j + r - b, r - b)
+                else:
+                    d *= perm(m - j, b - r)
+                re0, im0, d0 = acc.get((j, k), (0, 0, d))
+                if d0 != d:  # only a b > r term takes an entry off the common denominator
+                    re0, im0, n, d = re0 * d, im0 * d, n * d0, d0 * d
+                acc[j, k] = (re0 + c_re * n, im0 + c_im * n, d)
+    return {key: QC(_fraction(re, d), _fraction(im, d)) for key, (re, im, d) in acc.items()}
+
+
+_ZERO = Fraction(0)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    return Fraction(n, d) if n else _ZERO
 
 
 def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:
@@ -289,6 +316,17 @@ def trace_exact(a: OperatorMatrix) -> QC:
 def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     _require_kernels(a, b)
     return a.kernel == b.kernel
+
+
+def equals_i_times_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
+    """Whether a = i b exactly, decided on the two kernels in place: the same nonzero
+    keys, and a.re == -b.im, a.im == b.re at each.  No product kernel and no float
+    matrix is built.  Raises like ``equal_exact`` on a missing kernel or unequal levels."""
+    _require_kernels(a, b)
+    kb = b.kernel
+    return a.kernel.keys() == kb.keys() and all(
+        v.re == -kb[key].im and v.im == kb[key].re for key, v in a.kernel.items()
+    )
 
 
 def identity_exact(m: int) -> OperatorMatrix:

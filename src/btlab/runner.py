@@ -28,8 +28,8 @@ from . import __version__
 from .cache import MatrixCache, symbol_hash
 from .config import ExperimentConfig
 from .errors import CacheCorruption
-from .exact import QC, QC_I
-from .operators import OperatorMatrix, equal_exact, hermitian_eigenvalues, lincomb_exact, trace_exact
+from .exact import QC
+from .operators import OperatorMatrix, equals_i_times_exact, hermitian_eigenvalues, trace_exact
 from .operators import prequantum_geometric, toeplitz_exact
 from .semiclassics import (
     EXACT_ZERO_TOL,
@@ -228,7 +228,7 @@ def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
 
 def _tuynman_holds(f: CanonicalSymbol, m: int, assembler: Assembler) -> bool:
     q, rhs = tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
-    return equal_exact(q, lincomb_exact([(QC_I, rhs)]))
+    return equals_i_times_exact(q, rhs)
 
 
 def _random_pool(cfg: ExperimentConfig, count: int) -> list[CanonicalSymbol]:
@@ -289,7 +289,7 @@ def calibrate_laplacian_coeff() -> Fraction:
     q = prequantum_geometric(f, m)
     for c in (Fraction(1), Fraction(2), Fraction(4)):
         rhs = toeplitz_exact(f - laplacian(f).scale(c / 2 * Fraction(1, 2 * m)), m)
-        if equal_exact(q, lincomb_exact([(QC_I, rhs)])):
+        if equals_i_times_exact(q, rhs):
             return c
     raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
 

@@ -14,6 +14,8 @@ from btlab.operators import (
     commutator,
     compose_exact,
     equal_exact,
+    equals_i_times_exact,
+    from_kernel,
     gram_quadrature,
     hermitian_eigenvalues,
     identity_exact,
@@ -192,6 +194,40 @@ def test_prequantum_matches_quantization_identity(height):
         rhs = toeplitz_exact(height - laplacian(height).scale(Fraction(1, 2 * m)), m)
         lhs = prequantum_geometric(height, m)
         assert equal_exact(lhs, lincomb_exact([(QC(0, 1), rhs)]))
+
+
+def _tuynman_rhs(f, m, coeff=2):
+    # T_{f - Delta_c f/(2m)} with Delta_c = (c/2) Delta; Tuynman's identity holds for c = 2
+    return toeplitz_exact(f - laplacian(f).scale(Fraction(coeff, 2) * Fraction(1, 2 * m)), m)
+
+
+def test_i_times_predicate_rejects_a_wrong_laplacian_coefficient(height):
+    for f in (height, rand(8)):
+        for m in (1, 2, 5):
+            q = prequantum_geometric(f, m)
+            assert equals_i_times_exact(q, _tuynman_rhs(f, m))
+            for coeff in (1, 4):
+                assert not equals_i_times_exact(q, _tuynman_rhs(f, m, coeff))
+
+
+def test_i_times_predicate_sees_one_entry():
+    m = 6
+    q, rhs = prequantum_geometric(rand(9), m), _tuynman_rhs(rand(9), m)
+    key = next(iter(rhs.kernel))
+    dropped = {k: v for k, v in rhs.kernel.items() if k != key}
+    changed = {**rhs.kernel, key: rhs.kernel[key] + QC(0, Fraction(1, 10**30))}
+    for kernel in (dropped, changed):
+        assert not equals_i_times_exact(q, from_kernel(kernel, m))
+    assert not equals_i_times_exact(from_kernel({k: v for k, v in q.kernel.items() if k != key}, m), rhs)
+
+
+def test_i_times_predicate_rejects_unequal_levels_and_missing_kernels(height):
+    q = prequantum_geometric(height, 3)
+    with pytest.raises(ShapeMismatch):
+        equals_i_times_exact(q, _tuynman_rhs(height, 4))
+    quad = toeplitz_quadrature(height.evaluate, 3, 64, 64)
+    with pytest.raises(ValueError, match="no exact kernel"):
+        equals_i_times_exact(q, quad)
 
 
 def test_prequantum_is_anti_hermitian_for_real_symbols():

@@ -2,7 +2,8 @@
 equal kernels giving bit-equal floats, the banded assembly against the entry-by-entry reference, the disk cache
 as an exact round trip, the uniqueness of the canonical form, the
 Leibniz and Jacobi identities of the Poisson bracket, Tuynman's identity
-and the inverse of the equivalence b, over random symbols and levels."""
+(through a product kernel and decided in place), the hash/eq contract of
+QC, and the inverse of the equivalence b, over random symbols and levels."""
 
 import tempfile
 from fractions import Fraction
@@ -21,6 +22,7 @@ from btlab.operators import (
     adjoint,
     compose_exact,
     equal_exact,
+    equals_i_times_exact,
     from_kernel,
     lincomb_exact,
     prequantum_geometric,
@@ -84,6 +86,16 @@ def test_rational_scaling_is_the_full_product(q, r):
     assert r * q == q * r
 
 
+@properties
+@given(st.one_of(st.integers(min_value=-50, max_value=50), coeffs), st.one_of(st.just(0), coeffs))
+def test_equal_values_hash_alike(r, im):
+    # a real QC equals its int or Fraction, so the two must hash alike and share a set slot
+    q = QC(r, im)
+    assert (q == r) == (im == 0)
+    if q == r:
+        assert hash(q) == hash(r) and len({q, r}) == 1
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -107,15 +119,23 @@ def test_equal_kernels_give_equal_floats(seed_f, seed_g, real, m):
 
 
 @properties
-@given(seeds, small_levels)
-def test_banded_assembly_matches_the_reference(seed, m):
-    f = rand(seed, 3)
+@given(seeds, st.booleans(), small_levels)
+def test_banded_assembly_matches_the_reference(seed, real, m):
+    f = rand(seed, 3) if real else rand_complex(seed, 3)
     pairs = [(toeplitz_exact(f, m), toeplitz_reference(f, m))]
-    if m >= 1:
+    if real and m >= 1:
         pairs.append((prequantum_geometric(f, m), prequantum_reference(f, m)))
     for got, want in pairs:
         assert got.kernel == want.kernel
         assert _same_bits(got.entries, want.entries)
+
+
+def test_banded_assembly_matches_the_reference_on_large_binomials():
+    # C(200, 100) has 59 digits: the integer numerators must still give the same rationals
+    f, m = rand_complex(11, 3), 200
+    got, want = toeplitz_exact(f, m), toeplitz_reference(f, m)
+    assert got.kernel == want.kernel
+    assert _same_bits(got.entries, want.entries)
 
 
 def _outcome(assemble, *args):
@@ -196,6 +216,15 @@ def test_tuynman_identity_is_exact(seed, m):
     f = rand(seed)
     rhs = toeplitz_exact(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
     assert equal_exact(prequantum_geometric(f, m), lincomb_exact([(QC_I, rhs)]))
+
+
+@properties
+@given(seeds, st.integers(min_value=1, max_value=12))
+def test_tuynman_identity_is_decided_in_place(seed, m):
+    # Q_f = i T_{f - Delta f/(2m)}, decided on the two kernels with no product kernel
+    f = rand(seed)
+    q, rhs = prequantum_geometric(f, m), toeplitz_exact(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
+    assert equals_i_times_exact(q, rhs)
 
 
 @properties
