@@ -3,11 +3,12 @@
 Files are plain text: a header tagged with the format line
 ``btlab-matrix 2``, then a checksummed block with one line ``j k re im`` per
 nonzero entry of the exact kernel, where ``re`` and ``im`` are ``Fraction``
-strings.  A load rebuilds the matrix from that kernel exactly as a fresh
-assembly does, so a hit is the same matrix: an equal kernel and bit-equal
-floats.  Only a matrix with an exact kernel can be stored.  Any header,
-checksum, count or index mismatch, including a file in an older format,
-raises CacheCorruption; callers recompute and overwrite.
+strings, ``n`` or ``n/d``, which a load parses with ``int``.  A load
+rebuilds the matrix from that kernel exactly as a fresh assembly does, so a
+hit is the same matrix: an equal kernel and bit-equal floats.  Only a
+matrix with an exact kernel can be stored.  Any header, checksum, count or
+index mismatch, a malformed value, or a file in an older format raises
+CacheCorruption; callers recompute and overwrite.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from .symbols import ChartRational
 
 CACHE_ENV = "BTLAB_CACHE_DIR"
 _MAGIC = "btlab-matrix 2"
+
+
+def _rational(text: str) -> Fraction:
+    """An ``n`` or ``n/d`` value, as the writer prints a ``Fraction``, parsed with ``int``;
+    anything else, a zero or signed denominator included, raises."""
+    num, slash, den = text.partition("/")
+    if slash and not den.isdigit():
+        raise ValueError(f"bad denominator in {text!r}")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
 def default_cache_root() -> Path:
@@ -97,7 +107,7 @@ class MatrixCache:
                 j, k = int(j_s), int(k_s)
                 if not (0 <= j <= m and 0 <= k <= m):
                     raise CacheCorruption(f"{path}: index ({j}, {k}) out of range for level {m}")
-                kernel[j, k] = QC(Fraction(re_s), Fraction(im_s))
+                kernel[j, k] = QC(_rational(re_s), _rational(im_s))
             if len(kernel) != count:
                 raise CacheCorruption(f"{path}: entry count mismatch")
         except CacheCorruption:

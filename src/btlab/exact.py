@@ -12,6 +12,8 @@ from math import comb
 
 Rational = int | Fraction
 
+_ZERO = Fraction(0)
+
 
 class QC:
     """A complex number re + i*im with ``Fraction`` components."""
@@ -26,6 +28,11 @@ class QC:
 
     def __setattr__(self, name, value):
         raise AttributeError("QC values are immutable")
+
+    @staticmethod
+    def of_ints(re: int, im: int, den: int) -> "QC":
+        """(re + i*im)/den for ints and a positive den, with one ``Fraction`` per nonzero part."""
+        return QC(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
 
     @staticmethod
     def coerce(value: "QC | Rational") -> "QC":

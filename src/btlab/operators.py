@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import QuadratureBudgetTooSmall, ShapeMismatch
-from .exact import QC, QC_I
+from .exact import QC
 from .hilbert import basis_norm_sq, dimension
 from .symbols import CanonicalSymbol, hamiltonian_field
 
@@ -82,8 +82,9 @@ def _binomial_row(n: int) -> list[int]:
 
 def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
     """The exact kernel <z^j, g_k> / (2*pi ||z^j||^2) of columns g_k summed from
-    ``families`` (terms, r, by_k): each term (a, b) -> c adds c z^(a+k) zbar^b / (1+t)^r,
-    times k if ``by_k``, on the diagonal j = a + k - b only.
+    ``families`` (den, nums, r, by_k): each term (a, b) -> (re, im) adds
+    (re + i im)/den z^(a+k) zbar^b / (1+t)^r, times k if ``by_k``, on the diagonal
+    j = a + k - b only.
 
     Its Beta-integral value is c (m+1) C(m,j) / ((x+1) C(x,s)) with x = m + r and
     s = a + k = j + b, which is c (j+1)...(j+b) * (x-s)!/(m-j)! / D_r with
@@ -91,20 +92,18 @@ def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
     family of Q_f, (x-s)!/(m-j)! = (m-j+1)...(m-j+r-b): the entry is r small integers
     over D_r.  For b > r it is the reciprocal 1/((x-s+1)...(m-j)), which only a
     non-canonical chart rational reaches.  Each entry sums integer numerators over
-    one denominator, the lcm of every family's D_r times its coefficients'
-    denominators, and becomes one ``Fraction`` per nonzero part at the end.
+    one denominator, the lcm of every family's D_r times its den, and becomes one
+    ``Fraction`` per nonzero part at the end.
     """
-    den = lcm(*(perm(m + r + 1, r) * lcm(*(p.denominator for c in terms.values() for p in (c.re, c.im)))
-                for terms, r, _ in families))
+    den = lcm(*(perm(m + r + 1, r) * c_den for c_den, _, r, _ in families))
     acc: dict[tuple[int, int], tuple[int, int, int]] = {}  # (j, k) -> (re, im, denominator)
-    for terms, r, by_k in families:
-        x, base = m + r, den // perm(m + r + 1, r)
-        for (a, b), c in terms.items():
+    for c_den, nums, r, by_k in families:
+        x, base = m + r, den // (perm(m + r + 1, r) * c_den)
+        for (a, b), (c_re, c_im) in nums.items():
             lo, hi = max(0, b - a), min(m, m + b - a)
             if lo <= hi and a + hi > x:
                 raise ValueError(f"non-integrable pairing: s={max(a + lo, x + 1)} exceeds m+R={x}")
-            c_re = c.re.numerator * (base // c.re.denominator)
-            c_im = c.im.numerator * (base // c.im.denominator)
+            c_re, c_im = c_re * base, c_im * base
             for k in range(max(lo, 1) if by_k else lo, hi + 1):
                 j = a + k - b
                 n, d = perm(j + b, b) * (k if by_k else 1), den
@@ -116,14 +115,7 @@ def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
                 if d0 != d:  # only a b > r term takes an entry off the common denominator
                     re0, im0, n, d = re0 * d, im0 * d, n * d0, d0 * d
                 acc[j, k] = (re0 + c_re * n, im0 + c_im * n, d)
-    return {key: QC(_fraction(re, d), _fraction(im, d)) for key, (re, im, d) in acc.items()}
-
-
-_ZERO = Fraction(0)
-
-
-def _fraction(n: int, d: int) -> Fraction:
-    return Fraction(n, d) if n else _ZERO
+    return {key: QC.of_ints(re, im, d) for key, (re, im, d) in acc.items()}
 
 
 def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:
@@ -131,7 +123,7 @@ def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:
     onto holomorphic sections.  Exact rational assembly."""
     if m < 0:
         raise ValueError("level m must be >= 0")
-    return from_kernel(_banded_kernel(m, [(f.terms, f.denom_exp, False)]), m)
+    return from_kernel(_banded_kernel(m, [(f.den, f.nums, f.denom_exp, False)]), m)
 
 
 def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
@@ -150,9 +142,9 @@ def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
         raise ValueError("prequantum_geometric requires a real symbol")
     xz = hamiltonian_field(f).comp_z  # m X^z
     families = [
-        ({key: QC_I * c for key, c in f.terms.items()}, f.denom_exp, False),
-        ({(a, b + 1): c for (a, b), c in xz.terms.items()}, xz.denom_exp + 1, False),
-        ({(a - 1, b): c * Fraction(-1, m) for (a, b), c in xz.terms.items()}, xz.denom_exp, True),
+        (f.den, {key: (-im, re) for key, (re, im) in f.nums.items()}, f.denom_exp, False),  # i f
+        (xz.den, {(a, b + 1): v for (a, b), v in xz.nums.items()}, xz.denom_exp + 1, False),
+        (xz.den * m, {(a - 1, b): (-re, -im) for (a, b), (re, im) in xz.nums.items()}, xz.denom_exp, True),  # -X^z/m
     ]
     return from_kernel(_banded_kernel(m, families), m)
 

@@ -42,7 +42,7 @@ from .semiclassics import (
     spectral_moment,
     moment_limit,
     sweep,
-    tuynman_defect,
+    tuynman_gap,
     tuynman_operands,
 )
 from .starproduct import FormalSeries, b_inverse, b_map, check_axioms, check_equivalence
@@ -214,21 +214,16 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome
 def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     tables, details, ok = [], {}, True
     for name, f in cfg.active_symbols():
-        table = sweep(
-            name,
-            cfg.m_list,
-            lambda m: tuynman_defect(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum),
-        )
+        operands = {  # one pair per level, for both the float row and the exact decision
+            m: tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
+            for m in cfg.m_list
+        }
+        table = sweep(name, cfg.m_list, lambda m: tuynman_gap(*operands[m]))
         tables.append(table)
-        exact = all(_tuynman_holds(f, m, assembler) for m in cfg.m_list)
+        exact = all(equals_i_times_exact(q, rhs) for q, rhs in operands.values())
         ok = ok and exact
         details[name] = {"max_defect": max(table.values()), "exact": exact}
     return CheckOutcome("pass" if ok else "fail", tables, details)
-
-
-def _tuynman_holds(f: CanonicalSymbol, m: int, assembler: Assembler) -> bool:
-    q, rhs = tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
-    return equals_i_times_exact(q, rhs)
 
 
 def _random_pool(cfg: ExperimentConfig, count: int) -> list[CanonicalSymbol]:

@@ -130,10 +130,14 @@ def tuynman_operands(
     return prequantum(f, m), toeplitz(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
 
 
+def tuynman_gap(q: OperatorMatrix, rhs: OperatorMatrix) -> float:
+    """|| q - i rhs || for the pair ``tuynman_operands`` gives."""
+    return operator_norm(q.entries - 1j * rhs.entries)
+
+
 def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequantum=prequantum_geometric) -> float:
     """|| Q_f - i T_{f - Delta f/(2m)} ||; identically zero for this model."""
-    q, rhs = tuynman_operands(f, m, toeplitz, prequantum)
-    return operator_norm(q.entries - 1j * rhs.entries)
+    return tuynman_gap(*tuynman_operands(f, m, toeplitz, prequantum))
 
 
 def spectral_moment(eigs: np.ndarray, k: int) -> float:

@@ -165,11 +165,10 @@ def check_axioms(f: CanonicalSymbol, g: CanonicalSymbol, h: CanonicalSymbol) -> 
         and c1(g, one).is_zero
         and star_bt(FormalSeries.of(one, 1), FormalSeries.of(g, 1)) == FormalSeries.of(g, 1)
     )
-    parity_ok = c1(f, g).conjugate() == c1(g.conjugate(), f.conjugate())
-    lhs = f * c1(g, h) + c1(f, g * h)
-    rhs = c1(f, g) * h + c1(f * g, h)
-    assoc_ok = lhs == rhs
-    trace_ok = average(c1(f, g) - c1(g, f)) == QC(0)
+    c1_fg = c1(f, g)
+    parity_ok = c1_fg.conjugate() == c1(g.conjugate(), f.conjugate())
+    assoc_ok = f * c1(g, h) + c1(f, g * h) == c1_fg * h + c1(f * g, h)
+    trace_ok = average(c1_fg - c1(g, f)) == QC(0)
     return AxiomReport(unit_ok, parity_ok, assoc_ok, trace_ok)
 
 

@@ -13,6 +13,17 @@ Laplacian.  Constructing a ``CanonicalSymbol`` performs the cancellation, so
 every smooth function has exactly one canonical form and ``==`` on symbols
 is equality of functions.
 
+The numerator is held on Gaussian integers over one denominator: ``den``, a
+positive int, and ``nums``, a map (a, b) -> (re, im) of int pairs, with
+N = sum (re + i im)/den z^a zbar^b, in lowest terms (the gcd of ``den`` and
+every numerator part is 1) and with no zero coefficient, so the pair is
+unique.  Products, sums, scaling, conjugation, Wirtinger derivatives, the
+(1+z*zbar) division and the realness test multiply and add Python ints
+only.  ``terms``, the map (a, b) -> QC, is derived from the pair on each
+access, with one ``Fraction`` per nonzero part, in the order of ``nums``:
+floats summed over a symbol's terms (``evaluate``, ``sup_norm``) follow
+that order.
+
 Geometric conventions (fixed once, verified by the finite-difference
 calibration oracle in :func:`calibrate_hamiltonian_phase`):
 
@@ -29,7 +40,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -46,56 +57,56 @@ LAPLACE_COEFF = Fraction(2)
 INF = complex(float("inf"), 0.0)
 
 Terms = dict[tuple[int, int], QC]
+Nums = dict[tuple[int, int], tuple[int, int]]
 
 
-def _clean(terms: Terms) -> Terms:
-    out: Terms = {}
-    for (a, b), c in terms.items():
-        if a < 0 or b < 0:
-            raise ValueError(f"negative exponent in term ({a}, {b})")
-        c = QC.coerce(c)
-        if c:
-            out[(a, b)] = c
-    return out
+def _ints(terms: Terms) -> tuple[int, Nums]:
+    """``terms`` as (den, nums), over the lcm of every part's denominator."""
+    den = lcm(*(p.denominator for c in terms.values() for p in (c.re, c.im)))
+    return den, {
+        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in terms.items()
+    }
 
 
-def _poly_add(t1: Terms, t2: Terms) -> Terms:
-    out = dict(t1)
-    for key, c in t2.items():
-        s = out.get(key, QC(0)) + c
-        if s:
-            out[key] = s
+def _add(d1: int, n1: Nums, d2: int, n2: Nums) -> tuple[int, Nums]:
+    """n1/d1 + n2/d2 over lcm(d1, d2); a key whose sum is zero is dropped."""
+    den = lcm(d1, d2)
+    s1, s2 = den // d1, den // d2
+    out = {key: (re * s1, im * s1) for key, (re, im) in n1.items()}
+    for key, (re, im) in n2.items():
+        re0, im0 = out.get(key, (0, 0))
+        re0, im0 = re0 + re * s2, im0 + im * s2
+        if re0 or im0:
+            out[key] = (re0, im0)
         else:
             out.pop(key, None)
-    return out
+    return den, out
 
 
-def _poly_scale(c: QC, t: Terms) -> Terms:
-    if not c:
-        return {}
-    return {key: c * v for key, v in t.items()}
-
-
-def _poly_mul(t1: Terms, t2: Terms) -> Terms:
-    out: Terms = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
+def _mul(d1: int, n1: Nums, d2: int, n2: Nums) -> tuple[int, Nums]:
+    """n1/d1 * n2/d2 over d1*d2.  A key whose partial sum hits zero is dropped and,
+    if a later product revives it, inserted again at the end."""
+    out: Nums = {}
+    for (a1, b1), (r1, i1) in n1.items():
+        for (a2, b2), (r2, i2) in n2.items():
             key = (a1 + a2, b1 + b2)
-            s = out.get(key, QC(0)) + c1 * c2
-            if s:
-                out[key] = s
+            re, im = out.get(key, (0, 0))
+            re, im = re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2
+            if re or im:
+                out[key] = (re, im)
             else:
                 out.pop(key, None)
-    return out
+    return d1 * d2, out
 
 
-def _one_plus_t_pow(k: int) -> Terms:
+def _one_plus_t_pow(k: int) -> tuple[int, Nums]:
     """(1 + z*zbar)^k as a numerator polynomial."""
-    return {(i, i): QC(comb(k, i)) for i in range(k + 1)}
+    return 1, {(i, i): (comb(k, i), 0) for i in range(k + 1)}
 
 
-def _divide_one_plus_t(terms: Terms) -> Terms | None:
-    """Exact quotient terms/(1+z*zbar), or None if not divisible.
+def _divide_one_plus_t(nums: Nums) -> Nums | None:
+    """Exact quotient nums/(1+z*zbar) over the same denominator, or None if not divisible.
 
     Synthetic division up each diagonal a - b = d, gaps included: with n_i
     the coefficient of the monomial with min(a, b) = i, q_i = n_i - q_{i-1}
@@ -105,30 +116,53 @@ def _divide_one_plus_t(terms: Terms) -> Terms | None:
     ``sup_norm``) do not depend on the order of the input.
     """
     tops: dict[int, int] = {}
-    for a, b in terms:
+    for a, b in nums:
         tops[a - b] = max(tops.get(a - b, 0), min(a, b))
-    quot: Terms = {}
+    quot: Nums = {}
     for d, top in tops.items():
         a0, b0 = max(d, 0), max(-d, 0)
-        q = QC(0)
+        q_re = q_im = 0
         for i in range(top + 1):
-            q = terms.get((a0 + i, b0 + i), QC(0)) - q
-            if q and i < top:
-                quot[(a0 + i, b0 + i)] = q
-        if q:
+            n_re, n_im = nums.get((a0 + i, b0 + i), (0, 0))
+            q_re, q_im = n_re - q_re, n_im - q_im
+            if (q_re or q_im) and i < top:
+                quot[(a0 + i, b0 + i)] = (q_re, q_im)
+        if q_re or q_im:
             return None
     return dict(sorted(quot.items()))
 
 
 class ChartRational:
-    """N(z, zbar)/(1 + z*zbar)^R without the smooth-at-infinity invariant."""
+    """N(z, zbar)/(1 + z*zbar)^R without the smooth-at-infinity invariant,
+    with N = nums/den on Gaussian integers (see the module docstring)."""
 
-    __slots__ = ("terms", "denom_exp")
+    __slots__ = ("den", "nums", "denom_exp")
 
     def __init__(self, terms: Terms, denom_exp: int = 0):
+        coeffs: Terms = {}
+        for (a, b), c in terms.items():
+            if a < 0 or b < 0:
+                raise ValueError(f"negative exponent in term ({a}, {b})")
+            c = QC.coerce(c)
+            if c:
+                coeffs[(a, b)] = c
+        self._set(*_ints(coeffs), denom_exp)
+
+    @classmethod
+    def _of(cls, den: int, nums: Nums, denom_exp: int):
+        """The value nums/den over (1+t)^denom_exp; ``nums`` holds no zero."""
+        out = object.__new__(cls)
+        out._set(den, nums, denom_exp)
+        return out
+
+    def _set(self, den: int, nums: Nums, denom_exp: int) -> None:
         if denom_exp < 0:
             raise ValueError("denominator exponent must be >= 0")
-        object.__setattr__(self, "terms", _clean(terms))
+        g = gcd(den, *(p for v in nums.values() for p in v))
+        if g > 1:
+            den, nums = den // g, {key: (re // g, im // g) for key, (re, im) in nums.items()}
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "denom_exp", denom_exp)
 
     def __setattr__(self, name, value):
@@ -137,17 +171,23 @@ class ChartRational:
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> Terms:
+        """The numerator as (a, b) -> QC, one ``Fraction`` per nonzero part, in the order of ``nums``."""
+        den = self.den
+        return {key: QC.of_ints(re, im, den) for key, (re, im) in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def deg_z(self) -> int:
-        return max((a for a, _ in self.terms), default=-1)
+        return max((a for a, _ in self.nums), default=-1)
 
     def deg_zbar(self) -> int:
-        return max((b for _, b in self.terms), default=-1)
+        return max((b for _, b in self.nums), default=-1)
 
     def _key(self):
-        return (self.denom_exp if self.terms else 0, tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
+        return (self.denom_exp if self.nums else 0, self.den, tuple(sorted(self.nums.items())))
 
     def __eq__(self, other):
         if not isinstance(other, ChartRational):
@@ -165,14 +205,18 @@ class ChartRational:
 
     # -- algebra -----------------------------------------------------------
 
+    def _raised(self, r: int) -> tuple[int, Nums]:
+        """(den, nums) of the numerator over (1+t)^r, r >= R."""
+        if r == self.denom_exp:
+            return self.den, self.nums
+        return _mul(self.den, self.nums, *_one_plus_t_pow(r - self.denom_exp))
+
     def __add__(self, other):
         if not isinstance(other, ChartRational):
             return NotImplemented
         r = max(self.denom_exp, other.denom_exp)
-        t1 = _poly_mul(self.terms, _one_plus_t_pow(r - self.denom_exp)) if r > self.denom_exp else self.terms
-        t2 = _poly_mul(other.terms, _one_plus_t_pow(r - other.denom_exp)) if r > other.denom_exp else other.terms
         cls = type(self) if type(other) is type(self) else ChartRational
-        return cls(_poly_add(t1, t2), r)
+        return cls._of(*_add(*self._raised(r), *other._raised(r)), r)
 
     def __sub__(self, other):
         if not isinstance(other, ChartRational):
@@ -183,33 +227,31 @@ class ChartRational:
         if not isinstance(other, ChartRational):
             return NotImplemented
         cls = type(self) if type(other) is type(self) else ChartRational
-        return cls(_poly_mul(self.terms, other.terms), self.denom_exp + other.denom_exp)
+        return cls._of(*_mul(self.den, self.nums, other.den, other.nums), self.denom_exp + other.denom_exp)
 
     def scale(self, c: QC | Rational) -> "ChartRational":
-        return type(self)(_poly_scale(QC.coerce(c), self.terms), self.denom_exp)
+        return type(self)._of(*_mul(self.den, self.nums, *_ints({(0, 0): QC.coerce(c)})), self.denom_exp)
 
     def conjugate(self) -> "ChartRational":
-        return type(self)({(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.denom_exp)
+        return type(self)._of(self.den, {(b, a): (re, -im) for (a, b), (re, im) in self.nums.items()}, self.denom_exp)
 
     def shifted(self, k: int) -> "ChartRational":
         """The function times (1 + z*zbar)^k, for any integer k."""
-        if k >= 0:
-            if k <= self.denom_exp:
-                return ChartRational(self.terms, self.denom_exp - k)
-            return ChartRational(_poly_mul(self.terms, _one_plus_t_pow(k - self.denom_exp)), 0)
-        return ChartRational(self.terms, self.denom_exp - k)
+        if k > self.denom_exp:
+            return ChartRational._of(*self._raised(k), 0)
+        return ChartRational._of(self.den, self.nums, self.denom_exp - k)
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, z: complex) -> complex:
         """Value at a finite chart point z, or at INF (the w = 0 point)."""
-        z = complex(z)
+        z, den, r = complex(z), self.den, self.denom_exp
         if cmath.isinf(z):
-            r = self.denom_exp
-            return complex(QC.coerce(self.terms.get((r, r), QC(0))))
+            re, im = self.nums.get((r, r), (0, 0))
+            return complex(re / den, im / den)
         zb = z.conjugate()
-        num = sum(complex(c) * z**a * zb**b for (a, b), c in self.terms.items())
-        return num / (1.0 + (z * zb).real) ** self.denom_exp
+        num = sum(complex(re / den, im / den) * z**a * zb**b for (a, b), (re, im) in self.nums.items())
+        return num / (1.0 + (z * zb).real) ** r
 
     def eval_sphere_grid(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Values on the (cos-polar, azimuth) grid u x phi, poles included.
@@ -217,13 +259,13 @@ class ChartRational:
         Uses t/(1+t) = (1-u)/2 and 1/(1+t) = (1+u)/2, which keeps every
         term bounded all the way to u = -1 (the point at infinity).
         """
-        r = self.denom_exp
+        den, r = self.den, self.denom_exp
         lo = (1.0 - u[:, None]) / 2.0
         hi = (1.0 + u[:, None]) / 2.0
         out = np.zeros((u.size, phi.size), dtype=complex)
-        for (a, b), c in self.terms.items():
+        for (a, b), (re, im) in self.nums.items():
             radial = lo ** ((a + b) / 2.0) * hi ** (r - (a + b) / 2.0)
-            out += complex(c) * radial * np.exp(1j * (a - b) * phi[None, :])
+            out += complex(re / den, im / den) * radial * np.exp(1j * (a - b) * phi[None, :])
         return out
 
 
@@ -233,28 +275,28 @@ class CanonicalSymbol(ChartRational):
     numerator, then certifies smoothness at infinity, so two symbols are
     equal as functions iff they compare ``==``."""
 
-    __slots__ = ("is_real",)
+    __slots__ = ()
 
-    def __init__(self, terms: Terms, denom_exp: int = 0):
-        super().__init__(terms, denom_exp)
-        terms, r = self.terms, (self.denom_exp if self.terms else 0)
-        while r > 0 and (quot := _divide_one_plus_t(terms)) is not None:
-            terms, r = quot, r - 1
-        object.__setattr__(self, "terms", terms)
+    def _set(self, den: int, nums: Nums, denom_exp: int) -> None:
+        super()._set(den, nums, denom_exp)
+        nums, r = self.nums, (self.denom_exp if self.nums else 0)
+        while r > 0 and (quot := _divide_one_plus_t(nums)) is not None:
+            nums, r = quot, r - 1
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "denom_exp", r)
         if self.deg_z() > r or self.deg_zbar() > r:
             raise NotSmoothAtInfinity(
                 f"numerator degrees ({self.deg_z()}, {self.deg_zbar()}) exceed denominator exponent {r}"
             )
-        object.__setattr__(
-            self,
-            "is_real",
-            all(self.terms.get((b, a), QC(0)) == c.conjugate() for (a, b), c in self.terms.items()),
-        )
+
+    @property
+    def is_real(self) -> bool:
+        nums = self.nums
+        return all(nums.get((b, a)) == (re, -im) for (a, b), (re, im) in nums.items())
 
     @property
     def is_constant(self) -> bool:
-        return self.denom_exp == 0 and set(self.terms) <= {(0, 0)}
+        return self.denom_exp == 0 and set(self.nums) <= {(0, 0)}
 
     def constant_value(self) -> QC:
         if not self.is_constant:
@@ -283,7 +325,7 @@ def sphere_coord_x() -> CanonicalSymbol:
 
 def reduce(raw: ChartRational) -> CanonicalSymbol:
     """Cancel all (1+z*zbar) factors and certify smoothness at infinity."""
-    return CanonicalSymbol(raw.terms, raw.denom_exp)
+    return CanonicalSymbol._of(raw.den, raw.nums, raw.denom_exp)
 
 
 def wirtinger(f: ChartRational, which: str = "dz") -> ChartRational:
@@ -294,15 +336,14 @@ def wirtinger(f: ChartRational, which: str = "dz") -> ChartRational:
     """
     if which not in ("dz", "dzbar"):
         raise ValueError(f"which must be 'dz' or 'dzbar', got {which!r}")
-    r = f.denom_exp
+    r, nums = f.denom_exp, f.nums
     if which == "dz":
-        n_prime = {(a - 1, b): c * a for (a, b), c in f.terms.items() if a > 0}
-        swing = {(a, b + 1): c * (-r) for (a, b), c in f.terms.items()}
+        n_prime = {(a - 1, b): (re * a, im * a) for (a, b), (re, im) in nums.items() if a > 0}
+        swing = {(a, b + 1): (-r * re, -r * im) for (a, b), (re, im) in nums.items()} if r else {}
     else:
-        n_prime = {(a, b - 1): c * b for (a, b), c in f.terms.items() if b > 0}
-        swing = {(a + 1, b): c * (-r) for (a, b), c in f.terms.items()}
-    num = _poly_add(_poly_mul(_clean(n_prime), _one_plus_t_pow(1)), _clean(swing))
-    return ChartRational(num, r + 1)
+        n_prime = {(a, b - 1): (re * b, im * b) for (a, b), (re, im) in nums.items() if b > 0}
+        swing = {(a + 1, b): (-r * re, -r * im) for (a, b), (re, im) in nums.items()} if r else {}
+    return ChartRational._of(*_add(*_mul(f.den, n_prime, *_one_plus_t_pow(1)), f.den, swing), r + 1)
 
 
 @dataclass(frozen=True)
@@ -365,7 +406,7 @@ def evaluate(f: ChartRational, z: complex) -> complex:
 def flip_chart(f: CanonicalSymbol) -> CanonicalSymbol:
     """The same function written in the w = 1/z chart (an involution)."""
     r = f.denom_exp
-    return CanonicalSymbol({(r - a, r - b): c for (a, b), c in f.terms.items()}, r)
+    return CanonicalSymbol._of(f.den, {(r - a, r - b): v for (a, b), v in f.nums.items()}, r)
 
 
 def sup_norm(f: CanonicalSymbol) -> float:

@@ -1,0 +1,124 @@
+"""Test-only reference for the symbol algebra: plain ``QC`` arithmetic.
+
+This is the construction that the Gaussian-integer arithmetic in
+``btlab.symbols`` replaces: every coefficient a ``QC``, every product and
+sum a new pair of ``Fraction`` values.  A value is a pair (terms, R) for
+N/(1+z*zbar)^R, with terms a dict (a, b) -> QC whose insertion order is
+the order the floats are summed in.  It is kept only as an oracle for the
+property tests.
+"""
+
+from math import comb
+
+from btlab.errors import NotSmoothAtInfinity
+from btlab.exact import QC
+
+
+def clean(terms):
+    return {key: QC.coerce(c) for key, c in terms.items() if QC.coerce(c)}
+
+
+def poly_add(t1, t2):
+    out = dict(t1)
+    for key, c in t2.items():
+        s = out.get(key, QC(0)) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def poly_mul(t1, t2):
+    out = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            key = (a1 + a2, b1 + b2)
+            s = out.get(key, QC(0)) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def one_plus_t_pow(k):
+    return {(i, i): QC(comb(k, i)) for i in range(k + 1)}
+
+
+def add(f, g):
+    (t1, r1), (t2, r2) = f, g
+    r = max(r1, r2)
+    t1 = poly_mul(t1, one_plus_t_pow(r - r1)) if r > r1 else t1
+    t2 = poly_mul(t2, one_plus_t_pow(r - r2)) if r > r2 else t2
+    return poly_add(t1, t2), r
+
+
+def mul(f, g):
+    return poly_mul(f[0], g[0]), f[1] + g[1]
+
+
+def scale(f, c):
+    c = QC.coerce(c)
+    return ({key: c * v for key, v in f[0].items()} if c else {}), f[1]
+
+
+def conjugate(f):
+    return {(b, a): c.conjugate() for (a, b), c in f[0].items()}, f[1]
+
+
+def shifted(f, k):
+    terms, r = f
+    if k > r:
+        return poly_mul(terms, one_plus_t_pow(k - r)), 0
+    return terms, r - k
+
+
+def wirtinger(f, which):
+    terms, r = f
+    if which == "dz":
+        n_prime = {(a - 1, b): c * a for (a, b), c in terms.items() if a > 0}
+        swing = {(a, b + 1): c * (-r) for (a, b), c in terms.items()}
+    else:
+        n_prime = {(a, b - 1): c * b for (a, b), c in terms.items() if b > 0}
+        swing = {(a + 1, b): c * (-r) for (a, b), c in terms.items()}
+    return poly_add(poly_mul(clean(n_prime), one_plus_t_pow(1)), clean(swing)), r + 1
+
+
+def divide_one_plus_t(terms):
+    """Synthetic division up each diagonal; None if (1+t) does not divide."""
+    tops = {}
+    for a, b in terms:
+        tops[a - b] = max(tops.get(a - b, 0), min(a, b))
+    quot = {}
+    for d, top in tops.items():
+        a0, b0 = max(d, 0), max(-d, 0)
+        q = QC(0)
+        for i in range(top + 1):
+            q = terms.get((a0 + i, b0 + i), QC(0)) - q
+            if q and i < top:
+                quot[(a0 + i, b0 + i)] = q
+        if q:
+            return None
+    return dict(sorted(quot.items()))
+
+
+def reduce(f):
+    """The canonical form; raises NotSmoothAtInfinity like ``btlab.symbols.reduce``."""
+    terms = clean(f[0])
+    r = f[1] if terms else 0
+    while r > 0 and (quot := divide_one_plus_t(terms)) is not None:
+        terms, r = quot, r - 1
+    if max((a for a, _ in terms), default=-1) > r or max((b for _, b in terms), default=-1) > r:
+        raise NotSmoothAtInfinity("not smooth at infinity")
+    return terms, r
+
+
+def is_real(terms):
+    return all(terms.get((b, a), QC(0)) == c.conjugate() for (a, b), c in terms.items())
+
+
+def evaluate(f, z):
+    terms, r = f
+    zb = z.conjugate()
+    return sum(complex(c) * z**a * zb**b for (a, b), c in terms.items()) / (1.0 + (z * zb).real) ** r

@@ -17,6 +17,7 @@ from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
 from btlab.operators import hermitian_eigenvalues, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
+from btlab import semiclassics
 from btlab.semiclassics import moment_limit, spectral_moment
 from btlab.symbols import sphere_height
 
@@ -216,6 +217,22 @@ def test_cache_rejects_out_of_range_index(tmp_path):
         cache.load(symbol_hash(f), "toeplitz", 4)
 
 
+@pytest.mark.parametrize("value", ["1/0", "1/-2", "x", "", "1.5"])
+def test_cache_rejects_a_malformed_value(tmp_path, value):
+    # a checksum-consistent file whose first value is no integer or n/d with d > 0
+    f = sphere_height()
+    cache = MatrixCache(tmp_path / "cache")
+    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    lines = path.read_text().splitlines()
+    j, k, _, im_s = lines[6].split()
+    lines[6] = f"{j} {k} {value} {im_s}"
+    block = "\n".join(lines[6:])
+    lines[4] = f"checksum {hashlib.sha256(block.encode()).hexdigest()}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheCorruption):
+        cache.load(symbol_hash(f), "toeplitz", 4)
+
+
 def test_assembler_recomputes_float_format_file(tmp_path, caplog):
     f = sphere_height()
     mat = toeplitz_exact(f, 4)
@@ -278,6 +295,24 @@ terms =
     assert code == 0 and report.status == "pass"
     table = report.checks["tuynman"].tables[0]
     assert all(v <= 1e-10 for _, v in table.records)
+
+
+def test_tuynman_check_builds_one_operand_pair_per_level(tmp_path, monkeypatch):
+    # the float row and the exact decision share one (Q_f, T_{f - Delta f/2m}) per level
+    calls = []
+    laplacian = semiclassics.laplacian
+
+    def counting(f):
+        calls.append(f)
+        return laplacian(f)
+
+    monkeypatch.setattr(semiclassics, "laplacian", counting)
+    text = FULL.format(out=tmp_path / "out").replace(
+        "checks = norms, dirac, product, sass2, trace, spectrum, tuynman, staraxioms, equivalence", "checks = tuynman"
+    )
+    report, code = run_experiment(parse_config(write_cfg(tmp_path, text)), cache_root=tmp_path / "cache")
+    assert code == 0 and report.checks["tuynman"].details["height"]["exact"]
+    assert len(calls) == 2 * 4  # (height, xcoord) x (8, 16, 32, 64)
 
 
 def test_norms_run_flags_exact_identity_for_unit(tmp_path):
