@@ -1,39 +1,29 @@
 """On-disk matrix cache, keyed by (source hash, kind, level).
 
 Files are plain text: a header tagged with the format line
-``btlab-matrix 2``, then a checksummed block with one line ``j k re im`` per
-nonzero entry of the exact kernel, where ``re`` and ``im`` are ``Fraction``
-strings, ``n`` or ``n/d``, which a load parses with ``int``.  A load
-rebuilds the matrix from that kernel exactly as a fresh assembly does, so a
-hit is the same matrix: an equal kernel and bit-equal floats.  Only a
-matrix with an exact kernel can be stored.  Any header, checksum, count or
-index mismatch, a malformed value, or a file in an older format raises
-CacheCorruption; callers recompute and overwrite.
+``btlab-matrix 3``, then a checksummed block holding the exact ``Kernel``:
+a line ``den d`` with its one positive denominator, then one line
+``j k re im`` of plain ints per nonzero entry, in lowest terms.  A load
+parses every value with ``int`` and rebuilds the matrix from that kernel
+exactly as a fresh assembly does, so a hit is the same matrix: an equal
+kernel and bit-equal floats.  Only a matrix with an exact kernel can be
+stored.  Any header, checksum, count or index mismatch, a malformed value,
+a kernel not in lowest terms or holding an explicit zero entry, or a file
+in an older format raises CacheCorruption; callers recompute and overwrite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import CacheCorruption
-from .exact import QC
-from .operators import OperatorMatrix, from_kernel
+from .operators import Kernel, OperatorMatrix, from_kernel
 from .symbols import ChartRational
 
 CACHE_ENV = "BTLAB_CACHE_DIR"
-_MAGIC = "btlab-matrix 2"
-
-
-def _rational(text: str) -> Fraction:
-    """An ``n`` or ``n/d`` value, as the writer prints a ``Fraction``, parsed with ``int``;
-    anything else, a zero or signed denominator included, raises."""
-    num, slash, den = text.partition("/")
-    if slash and not den.isdigit():
-        raise ValueError(f"bad denominator in {text!r}")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+_MAGIC = "btlab-matrix 3"
 
 
 def default_cache_root() -> Path:
@@ -45,9 +35,8 @@ def default_cache_root() -> Path:
 
 def symbol_hash(f: ChartRational) -> str:
     """Stable content hash of a symbol's canonical representation."""
-    parts = [f"R={f.denom_exp}"]
-    for (a, b), c in sorted(f.terms.items()):
-        parts.append(f"{a},{b}:{c.re}:{c.im}")
+    parts = [f"R={f.denom_exp}", f"den={f.den}"]
+    parts += (f"{a},{b}:{re}:{im}" for (a, b), (re, im) in sorted(f.nums.items()))
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
 
@@ -62,7 +51,8 @@ class MatrixCache:
         if mat.kernel is None:
             raise ValueError(f"cannot cache a level-{mat.m} matrix with no exact kernel")
         self.root.mkdir(parents=True, exist_ok=True)
-        block = "\n".join(f"{j} {k} {v.re} {v.im}" for (j, k), v in sorted(mat.kernel.items()))
+        entries = (f"{j} {k} {re} {im}" for (j, k), (re, im) in sorted(mat.kernel.nums.items()))
+        block = "\n".join([f"den {mat.kernel.den}", *entries])
         checksum = hashlib.sha256(block.encode()).hexdigest()
         header = "\n".join(
             [
@@ -98,18 +88,24 @@ class MatrixCache:
             for key, want in expected.items():
                 if header.get(key) != want:
                     raise CacheCorruption(f"{path}: header {key} mismatch")
-            block = "\n".join(lines[6 : 6 + count])
+            block = "\n".join(lines[6 : 7 + count])
             if hashlib.sha256(block.encode()).hexdigest() != header.get("checksum"):
                 raise CacheCorruption(f"{path}: checksum mismatch")
-            kernel = {}
-            for line in block.splitlines():
-                j_s, k_s, re_s, im_s = line.split()
-                j, k = int(j_s), int(k_s)
+            tag, den = lines[6].split()
+            if tag != "den":
+                raise CacheCorruption(f"{path}: no den line")
+            den = int(den)
+            nums = {}
+            for line in lines[7 : 7 + count]:
+                j, k, re, im = map(int, line.split())
                 if not (0 <= j <= m and 0 <= k <= m):
                     raise CacheCorruption(f"{path}: index ({j}, {k}) out of range for level {m}")
-                kernel[j, k] = QC(_rational(re_s), _rational(im_s))
-            if len(kernel) != count:
+                nums[j, k] = (re, im)
+            if len(nums) != count:
                 raise CacheCorruption(f"{path}: entry count mismatch")
+            kernel = Kernel(den, nums)
+            if kernel.den != den or len(kernel) != count:
+                raise CacheCorruption(f"{path}: kernel not in lowest terms or holding a zero entry")
         except CacheCorruption:
             raise
         except Exception as exc:

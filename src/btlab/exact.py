@@ -7,8 +7,9 @@ point enters only in matrix factorizations and grid searches.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 Rational = int | Fraction
 
@@ -28,6 +29,9 @@ class QC:
 
     def __setattr__(self, name, value):
         raise AttributeError("QC values are immutable")
+
+    def __reduce__(self):
+        return QC, (self.re, self.im)
 
     @staticmethod
     def of_ints(re: int, im: int, den: int) -> "QC":
@@ -110,6 +114,16 @@ class QC:
 
 
 QC_I = QC(0, 1)
+
+
+def over_common_den(values: Mapping) -> tuple[int, dict]:
+    """A map key -> QC as (den, nums): nums maps key -> (re, im) ints with value
+    (re + i*im)/den, over the lcm of every part's denominator."""
+    den = lcm(*(p.denominator for c in values.values() for p in (c.re, c.im)))
+    return den, {
+        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in values.items()
+    }
 
 
 def beta_int(p: int, q: int) -> Fraction:

@@ -9,13 +9,17 @@ result so identities can be checked with no tolerance at all.
 For a numerator monomial z^a zbar^b over (1+t)^R paired between z^j and
 z^k, the angular integral enforces j = a + k - b and the radial integral is
 B(s+1, m+R+1-s) with s = a + k.  By that U(1) selection rule a symbol of
-exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a kernel is a
-read-only map (j, k) -> QC holding only its nonzero entries; an absent key
-is an exact zero.  Assembly is banded and in closed form, with no symbolic
-product: each monomial z^a zbar^b fills its one diagonal, where an entry is
+exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a kernel holds
+only its nonzero entries; an absent key is an exact zero.  A ``Kernel`` is
+held on Gaussian integers over one denominator, as a symbol is: one positive
+int ``den`` and a read-only map ``nums``: (j, k) -> (re, im) of ints, in
+lowest terms and with no zero entry, so equal operators have equal kernels.
+Assembly is banded and in closed form, with no symbolic product: each
+monomial z^a zbar^b fills its one diagonal, where an entry is
 (j+1)...(j+b) (m-j+1)...(m-j+R-b), a product of R small integers, over the
-one level denominator (m+2)...(m+R+1).  Entries sum integer numerators over
-a common denominator and become one ``Fraction`` per nonzero part at the end.
+one level denominator (m+2)...(m+R+1).  The exact operations (composition,
+linear combination, adjoint, trace, equality) add and multiply ints, and the
+float entries are taken from ``nums`` with one int/int division per part.
 """
 
 from __future__ import annotations
@@ -23,19 +27,63 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
-from math import lcm, perm, sqrt
+from itertools import accumulate, chain
+from math import gcd, lcm, perm, sqrt
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import QuadratureBudgetTooSmall, ShapeMismatch
-from .exact import QC
+from .exact import QC, Rational, over_common_den
 from .hilbert import basis_norm_sq, dimension
 from .symbols import CanonicalSymbol, hamiltonian_field
 
-Kernel = Mapping[tuple[int, int], QC]
+
+class Kernel(Mapping):
+    """The exact matrix of an operator in the unnormalized monomial basis: the map
+    (j, k) -> (re + i*im)/den of its nonzero entries, with ``den`` one positive int
+    and ``nums`` a read-only map (j, k) -> (re, im) of ints.  Constructing one drops
+    zero entries and divides out the gcd of ``den`` and every part, so the pair is
+    unique.  As a ``Mapping`` its values read as ``QC``, one built per lookup."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums: Mapping[tuple[int, int], tuple[int, int]]):
+        if den <= 0:
+            raise ValueError(f"kernel denominator must be positive, got {den}")
+        nums = {key: v for key, v in nums.items() if v[0] or v[1]}
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        if g > 1:
+            den, nums = den // g, {key: (re // g, im // g) for key, (re, im) in nums.items()}
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Kernel values are immutable")
+
+    def __reduce__(self):
+        return Kernel, (self.den, dict(self.nums))
+
+    def __getitem__(self, key: tuple[int, int]) -> QC:
+        re, im = self.nums[key]
+        return QC.of_ints(re, im, self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __eq__(self, other):
+        if isinstance(other, Kernel):
+            return self.den == other.den and self.nums == other.nums
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
+    def __repr__(self):
+        return f"Kernel({self.den}, {dict(self.nums)!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +92,9 @@ class OperatorMatrix:
 
     ``entries`` is the matrix in the orthonormal basis; ``kernel``, when
     present, is the exact matrix in the unnormalized monomial basis as a
-    read-only map (j, k) -> QC of its nonzero entries (the two are
-    conjugate by the diagonal of basis norms).  A matrix is exact exactly
-    when it has a kernel: exact assembly and the disk cache give one,
-    quadrature does not.
+    ``Kernel`` (the two are conjugate by the diagonal of basis norms).  A
+    matrix is exact exactly when it has a kernel: exact assembly and the disk
+    cache give one, quadrature does not.
     """
 
     m: int
@@ -61,18 +108,28 @@ class OperatorMatrix:
         self.entries.flags.writeable = False
 
 
-def from_kernel(kernel: Kernel, m: int) -> OperatorMatrix:
-    """The matrix of an exact kernel given as a map (j, k) -> QC.
+def from_kernel(kernel: Mapping, m: int) -> OperatorMatrix:
+    """The matrix of an exact kernel: a ``Kernel``, or a map (j, k) -> QC, which is
+    brought to one first.
 
-    Zero values are dropped, so equal operators have equal kernels; the
-    float entries are filled from the nonzero ones.
+    The float entry at (j, k) is (re/den + i im/den) * scale[j]/scale[k] with
+    scale[j] = sqrt(basis_norm_sq(m, j)); each re/den is an int/int true division
+    and so correctly rounded.  The entries go into the dense matrix in one scatter.
     """
-    frozen = MappingProxyType({key: v for key, v in kernel.items() if v})
-    scale = [sqrt(float(Fraction(1, (m + 1) * c))) for c in _binomial_row(m)]  # sqrt(basis_norm_sq(m, j))
+    if not isinstance(kernel, Kernel):
+        kernel = Kernel(*over_common_den(kernel))
+    den, nums, n = kernel.den, kernel.nums, len(kernel)
+    scale = np.sqrt([1 / ((m + 1) * c) for c in _binomial_row(m)])
+    if not scale.all():  # 1/((m+1) C(m, j)) underflows to 0.0 from m = 1071
+        raise ZeroDivisionError(f"a basis norm underflows to 0.0 at level {m}")
+    j, k = np.fromiter(chain.from_iterable(nums), dtype=np.intp, count=2 * n).reshape(n, 2).T
+    parts = np.fromiter(chain.from_iterable(nums.values()), dtype=object, count=2 * n) / den  # Python int / int
+    re, im = parts.astype(float).reshape(n, 2).T
+    ratio = scale[j] / scale[k]
     entries = np.zeros((m + 1, m + 1), dtype=complex)
-    for (j, k), v in frozen.items():
-        entries[j, k] = complex(v) * (scale[j] / scale[k])
-    return OperatorMatrix(m, entries, frozen)
+    entries.real[j, k] = re * ratio
+    entries.imag[j, k] = im * ratio
+    return OperatorMatrix(m, entries, kernel)
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -80,7 +137,7 @@ def _binomial_row(n: int) -> list[int]:
     return list(accumulate(range(n), lambda c, i: c * (n - i) // (i + 1), initial=1))
 
 
-def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
+def _banded_kernel(m: int, families) -> Kernel:
     """The exact kernel <z^j, g_k> / (2*pi ||z^j||^2) of columns g_k summed from
     ``families`` (den, nums, r, by_k): each term (a, b) -> (re, im) adds
     (re + i im)/den z^(a+k) zbar^b / (1+t)^r, times k if ``by_k``, on the diagonal
@@ -91,12 +148,13 @@ def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
     D_r = (m+2)...(m+r+1).  For b <= r, as for every canonical symbol and every
     family of Q_f, (x-s)!/(m-j)! = (m-j+1)...(m-j+r-b): the entry is r small integers
     over D_r.  For b > r it is the reciprocal 1/((x-s+1)...(m-j)), which only a
-    non-canonical chart rational reaches.  Each entry sums integer numerators over
-    one denominator, the lcm of every family's D_r times its den, and becomes one
-    ``Fraction`` per nonzero part at the end.
+    non-canonical chart rational reaches.  Every entry sums integer numerators over
+    one denominator, the lcm of every family's D_r times its den, widened by the
+    reciprocals' lcm when a b > r term occurs.
     """
     den = lcm(*(perm(m + r + 1, r) * c_den for c_den, _, r, _ in families))
-    acc: dict[tuple[int, int], tuple[int, int, int]] = {}  # (j, k) -> (re, im, denominator)
+    acc: dict[tuple[int, int], tuple[int, int]] = {}  # (j, k) -> (re, im) over den
+    off = []  # the b > r terms: ((j, k), re, im, d), adding (re + i im) / (den * d)
     for c_den, nums, r, by_k in families:
         x, base = m + r, den // (perm(m + r + 1, r) * c_den)
         for (a, b), (c_re, c_im) in nums.items():
@@ -106,16 +164,20 @@ def _banded_kernel(m: int, families) -> dict[tuple[int, int], QC]:
             c_re, c_im = c_re * base, c_im * base
             for k in range(max(lo, 1) if by_k else lo, hi + 1):
                 j = a + k - b
-                n, d = perm(j + b, b) * (k if by_k else 1), den
-                if b <= r:
-                    n *= perm(m - j + r - b, r - b)
-                else:
-                    d *= perm(m - j, b - r)
-                re0, im0, d0 = acc.get((j, k), (0, 0, d))
-                if d0 != d:  # only a b > r term takes an entry off the common denominator
-                    re0, im0, n, d = re0 * d, im0 * d, n * d0, d0 * d
-                acc[j, k] = (re0 + c_re * n, im0 + c_im * n, d)
-    return {key: QC.of_ints(re, im, d) for key, (re, im, d) in acc.items()}
+                n = perm(j + b, b) * (k if by_k else 1)
+                if b > r:
+                    off.append(((j, k), c_re * n, c_im * n, perm(m - j, b - r)))
+                    continue
+                n *= perm(m - j + r - b, r - b)
+                re0, im0 = acc.get((j, k), (0, 0))
+                acc[j, k] = (re0 + c_re * n, im0 + c_im * n)
+    if off:
+        s = lcm(*(d for *_, d in off))
+        den, acc = den * s, {key: (re * s, im * s) for key, (re, im) in acc.items()}
+        for key, re, im, d in off:
+            re0, im0 = acc.get(key, (0, 0))
+            acc[key] = (re0 + re * (s // d), im0 + im * (s // d))
+    return Kernel(den, acc)
 
 
 def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:
@@ -260,8 +322,14 @@ def adjoint(x):
     if isinstance(x, OperatorMatrix):
         if x.kernel is None:
             return OperatorMatrix(x.m, x.entries.conj().T.copy())
-        c = _binomial_row(x.m)  # basis_norm_sq(m, j) / basis_norm_sq(m, k) = C(m, k) / C(m, j)
-        return from_kernel({(k, j): v.conjugate() * Fraction(c[k], c[j]) for (j, k), v in x.kernel.items()}, x.m)
+        # entry (k, j) is conj(entry (j, k)) * C(m, k) / C(m, j), over den times the lcm of the row binomials
+        c, nums = _binomial_row(x.m), x.kernel.nums
+        rows = lcm(*{c[j] for j, _ in nums})
+        scaled = {}
+        for (j, k), (re, im) in nums.items():
+            s = c[k] * (rows // c[j])
+            scaled[k, j] = (re * s, -im * s)
+        return from_kernel(Kernel(x.kernel.den * rows, scaled), x.m)
     return _as_array(x).conj().T
 
 
@@ -281,28 +349,36 @@ def _require_kernels(*mats: OperatorMatrix) -> int:
 def compose_exact(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     m = _require_kernels(a, b)
     b_rows = defaultdict(list)
-    for (l, k), v in b.kernel.items():
+    for (l, k), v in b.kernel.nums.items():
         b_rows[l].append((k, v))
-    kernel: dict[tuple[int, int], QC] = {}
-    for (j, l), alj in a.kernel.items():
-        for k, blk in b_rows[l]:
-            kernel[j, k] = kernel.get((j, k), QC(0)) + alj * blk
-    return from_kernel(kernel, m)
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for (j, l), (a_re, a_im) in a.kernel.nums.items():
+        for k, (b_re, b_im) in b_rows[l]:
+            re, im = acc.get((j, k), (0, 0))
+            acc[j, k] = (re + a_re * b_re - a_im * b_im, im + a_re * b_im + a_im * b_re)
+    return from_kernel(Kernel(a.kernel.den * b.kernel.den, acc), m)
 
 
-def lincomb_exact(terms: list[tuple[QC | int | Fraction, OperatorMatrix]]) -> OperatorMatrix:
+def lincomb_exact(terms: list[tuple[QC | Rational, OperatorMatrix]]) -> OperatorMatrix:
     m = _require_kernels(*[mat for _, mat in terms])
-    kernel: dict[tuple[int, int], QC] = {}
+    parts = []  # (denominator of coeff * kernel, coefficient numerator, kernel numerators)
     for coeff, mat in terms:
-        c = QC.coerce(coeff)
-        for key, v in mat.kernel.items():
-            kernel[key] = kernel.get(key, QC(0)) + c * v
-    return from_kernel(kernel, m)
+        c_den, c = over_common_den({None: QC.coerce(coeff)})
+        parts.append((c_den * mat.kernel.den, c[None], mat.kernel.nums))
+    den = lcm(*(d for d, _, _ in parts))
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for d, (c_re, c_im), nums in parts:
+        c_re, c_im = c_re * (den // d), c_im * (den // d)
+        for key, (re, im) in nums.items():
+            re0, im0 = acc.get(key, (0, 0))
+            acc[key] = (re0 + c_re * re - c_im * im, im0 + c_re * im + c_im * re)
+    return from_kernel(Kernel(den, acc), m)
 
 
 def trace_exact(a: OperatorMatrix) -> QC:
-    _require_kernels(a)
-    return sum((v for (j, k), v in a.kernel.items() if j == k), QC(0))
+    m = _require_kernels(a)
+    diag = [a.kernel.nums[j, j] for j in range(m + 1) if (j, j) in a.kernel.nums]
+    return QC.of_ints(sum(re for re, _ in diag), sum(im for _, im in diag), a.kernel.den)
 
 
 def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
@@ -311,15 +387,16 @@ def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
 
 
 def equals_i_times_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    """Whether a = i b exactly, decided on the two kernels in place: the same nonzero
-    keys, and a.re == -b.im, a.im == b.re at each.  No product kernel and no float
+    """Whether a = i b exactly, decided on the two kernels in place.  i b has b's
+    denominator and numerators (-im, re), still in lowest terms, so a = i b iff the
+    denominators agree and so does every numerator.  No product kernel and no float
     matrix is built.  Raises like ``equal_exact`` on a missing kernel or unequal levels."""
     _require_kernels(a, b)
-    kb = b.kernel
-    return a.kernel.keys() == kb.keys() and all(
-        v.re == -kb[key].im and v.im == kb[key].re for key, v in a.kernel.items()
+    na, nb = a.kernel.nums, b.kernel.nums
+    return a.kernel.den == b.kernel.den and len(na) == len(nb) and all(
+        na.get(key) == (-im, re) for key, (re, im) in nb.items()
     )
 
 
 def identity_exact(m: int) -> OperatorMatrix:
-    return from_kernel({(j, j): QC(1) for j in range(m + 1)}, m)
+    return from_kernel(Kernel(1, {(j, j): (1, 0) for j in range(m + 1)}), m)

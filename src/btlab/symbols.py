@@ -45,7 +45,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .errors import NotSmoothAtInfinity
-from .exact import QC, QC_I, Rational, beta_int
+from .exact import QC, QC_I, Rational, beta_int, over_common_den
 
 # Frozen calibration constants.  HAMILTONIAN_PHASE is the factor sigma in
 # X_f^z = sigma * (1+z zbar)^2 df/dzbar; LAPLACE_COEFF the c in
@@ -58,15 +58,6 @@ INF = complex(float("inf"), 0.0)
 
 Terms = dict[tuple[int, int], QC]
 Nums = dict[tuple[int, int], tuple[int, int]]
-
-
-def _ints(terms: Terms) -> tuple[int, Nums]:
-    """``terms`` as (den, nums), over the lcm of every part's denominator."""
-    den = lcm(*(p.denominator for c in terms.values() for p in (c.re, c.im)))
-    return den, {
-        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for key, c in terms.items()
-    }
 
 
 def _add(d1: int, n1: Nums, d2: int, n2: Nums) -> tuple[int, Nums]:
@@ -146,7 +137,7 @@ class ChartRational:
             c = QC.coerce(c)
             if c:
                 coeffs[(a, b)] = c
-        self._set(*_ints(coeffs), denom_exp)
+        self._set(*over_common_den(coeffs), denom_exp)
 
     @classmethod
     def _of(cls, den: int, nums: Nums, denom_exp: int):
@@ -167,6 +158,9 @@ class ChartRational:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        return type(self)._of, (self.den, self.nums, self.denom_exp)
 
     # -- structure ---------------------------------------------------------
 
@@ -230,7 +224,7 @@ class ChartRational:
         return cls._of(*_mul(self.den, self.nums, other.den, other.nums), self.denom_exp + other.denom_exp)
 
     def scale(self, c: QC | Rational) -> "ChartRational":
-        return type(self)._of(*_mul(self.den, self.nums, *_ints({(0, 0): QC.coerce(c)})), self.denom_exp)
+        return type(self)._of(*_mul(self.den, self.nums, *over_common_den({(0, 0): QC.coerce(c)})), self.denom_exp)
 
     def conjugate(self) -> "ChartRational":
         return type(self)._of(self.den, {(b, a): (re, -im) for (a, b), (re, im) in self.nums.items()}, self.denom_exp)

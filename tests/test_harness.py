@@ -4,7 +4,6 @@ import hashlib
 import json
 import logging
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +176,18 @@ def test_cache_miss_returns_none(tmp_path):
 
 def _tamper_first_entry(path: Path) -> None:
     lines = path.read_text().splitlines()
-    j, k, re_s, im_s = lines[6].split()
-    lines[6] = f"{j} {k} {Fraction(re_s) + Fraction(1, 8)} {im_s}"
+    j, k, re_s, im_s = lines[7].split()
+    lines[7] = f"{j} {k} {int(re_s) + 1} {im_s}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rewrite_with_checksum(path: Path, edit) -> None:
+    """Apply ``edit`` to the file's lines, then make the checksum (over the ``den`` line
+    and the entry lines) consistent again, so only the load's own checks can reject it."""
+    lines = path.read_text().splitlines()
+    edit(lines)
+    block = "\n".join(lines[6:])
+    lines[4] = f"checksum {hashlib.sha256(block.encode()).hexdigest()}"
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -207,30 +216,79 @@ def test_cache_rejects_out_of_range_index(tmp_path):
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
     path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
-    lines = path.read_text().splitlines()
-    _, _, re_s, im_s = lines[6].split()
-    lines[6] = f"5 0 {re_s} {im_s}"
-    block = "\n".join(lines[6:])
-    lines[4] = f"checksum {hashlib.sha256(block.encode()).hexdigest()}"
-    path.write_text("\n".join(lines) + "\n")
+
+    def edit(lines):
+        _, _, re_s, im_s = lines[7].split()
+        lines[7] = f"5 0 {re_s} {im_s}"
+
+    _rewrite_with_checksum(path, edit)
     with pytest.raises(CacheCorruption, match="out of range"):
         cache.load(symbol_hash(f), "toeplitz", 4)
 
 
-@pytest.mark.parametrize("value", ["1/0", "1/-2", "x", "", "1.5"])
+@pytest.mark.parametrize("value", ["1/0", "1/-2", "x", "", "1.5", "1/2"])
 def test_cache_rejects_a_malformed_value(tmp_path, value):
-    # a checksum-consistent file whose first value is no integer or n/d with d > 0
+    # a checksum-consistent file whose first value is no plain integer
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
     path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
-    lines = path.read_text().splitlines()
-    j, k, _, im_s = lines[6].split()
-    lines[6] = f"{j} {k} {value} {im_s}"
-    block = "\n".join(lines[6:])
-    lines[4] = f"checksum {hashlib.sha256(block.encode()).hexdigest()}"
-    path.write_text("\n".join(lines) + "\n")
+
+    def edit(lines):
+        j, k, _, im_s = lines[7].split()
+        lines[7] = f"{j} {k} {value} {im_s}"
+
+    _rewrite_with_checksum(path, edit)
     with pytest.raises(CacheCorruption):
         cache.load(symbol_hash(f), "toeplitz", 4)
+
+
+def _scale_kernel(lines: list[str], factor: int) -> None:
+    """Multiply the den line and every entry part by ``factor``: the same rationals."""
+    lines[6] = f"den {int(lines[6].split()[1]) * factor}"
+    for i in range(7, len(lines)):
+        j, k, re_s, im_s = lines[i].split()
+        lines[i] = f"{j} {k} {int(re_s) * factor} {int(im_s) * factor}"
+
+
+def _add_zero_entry(lines: list[str]) -> None:
+    lines[5] = f"entries {int(lines[5].split()[1]) + 1}"
+    lines.insert(8, "0 1 0 0")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: _scale_kernel(lines, 2),
+        lambda lines: _scale_kernel(lines, -1),
+        lambda lines: lines.__setitem__(6, "den 0"),
+        _add_zero_entry,
+    ],
+    ids=["not-in-lowest-terms", "negative-den", "zero-den", "zero-entry"],
+)
+def test_cache_rejects_a_kernel_that_is_not_canonical(tmp_path, edit):
+    # a kernel a fresh assembly never gives, even when it holds the same rationals, is corrupt
+    f = sphere_height()
+    cache = MatrixCache(tmp_path / "cache")
+    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    _rewrite_with_checksum(path, edit)
+    with pytest.raises(CacheCorruption):
+        cache.load(symbol_hash(f), "toeplitz", 4)
+
+
+def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog) -> None:
+    """The file at (f, toeplitz, m) is corrupt; the Assembler warns once, recomputes and overwrites it."""
+    mat = toeplitz_exact(f, m)
+    with pytest.raises(CacheCorruption):
+        cache.load(symbol_hash(f), "toeplitz", m)
+    asm = Assembler(cache)
+    with caplog.at_level(logging.WARNING, logger="btlab"):
+        again = asm.toeplitz(f, m)
+    assert asm.cache_corruptions == 1 and asm.assemblies == 1
+    [record] = caplog.records
+    assert record.name == "btlab" and record.levelno == logging.WARNING
+    assert "bad magic line" in record.getMessage() and record.getMessage().endswith("; recomputing")
+    assert again.kernel == mat.kernel
+    assert cache.load(symbol_hash(f), "toeplitz", m).kernel == mat.kernel
 
 
 def test_assembler_recomputes_float_format_file(tmp_path, caplog):
@@ -249,17 +307,26 @@ def test_assembler_recomputes_float_format_file(tmp_path, caplog):
     ]
     cache.root.mkdir(parents=True)
     cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
-    with pytest.raises(CacheCorruption):
-        cache.load(symbol_hash(f), "toeplitz", 4)
-    asm = Assembler(cache)
-    with caplog.at_level(logging.WARNING, logger="btlab"):
-        again = asm.toeplitz(f, 4)
-    assert asm.cache_corruptions == 1 and asm.assemblies == 1
-    [record] = caplog.records
-    assert record.name == "btlab" and record.levelno == logging.WARNING
-    assert "bad magic line" in record.getMessage() and record.getMessage().endswith("; recomputing")
-    assert again.kernel == mat.kernel
-    assert cache.load(symbol_hash(f), "toeplitz", 4).kernel == mat.kernel
+    _assert_recomputed_with_one_warning(cache, f, 4, caplog)
+
+
+def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
+    # format 2 wrote each part as a Fraction string, n or n/d, with no den line
+    f = sphere_height()
+    kernel = toeplitz_exact(f, 4).kernel
+    cache = MatrixCache(tmp_path / "cache")
+    block = "\n".join(f"{j} {k} {v.re} {v.im}" for (j, k), v in sorted(kernel.items()))
+    header = [
+        "btlab-matrix 2",
+        "kind toeplitz",
+        "m 4",
+        f"source {symbol_hash(f)}",
+        f"checksum {hashlib.sha256(block.encode()).hexdigest()}",
+        f"entries {len(kernel)}",
+    ]
+    cache.root.mkdir(parents=True)
+    cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
+    _assert_recomputed_with_one_warning(cache, f, 4, caplog)
 
 
 def test_assembler_counts_hits(tmp_path):
