@@ -10,6 +10,8 @@ kernel and bit-equal floats.  Only a matrix with an exact kernel can be
 stored.  Any header, checksum, count or index mismatch, a malformed value,
 a kernel not in lowest terms or holding an explicit zero entry, or a file
 in an older format raises CacheCorruption; callers recompute and overwrite.
+A store writes a temp file of its own and renames it into place, so
+processes that store one key at once leave one whole file.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class MatrixCache:
             ]
         )
         path = self.path_for(source, kind, mat.m)
-        tmp = path.with_suffix(".tmp")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")  # one per writer: processes may store one key at once
         tmp.write_text(header + "\n" + block + "\n")
         os.replace(tmp, path)
         return path

@@ -8,6 +8,11 @@ output directory:
     tables.csv    -- every convergence table as rows (check, m, value)
     plots/*.dat   -- one two-column gnuplot file per table
 
+The checks are independent of one another.  With n = min(number of
+checks, usable CPUs) above one, they run in a pool of n forked worker
+processes, one check per task in config order; with n = 1 they run in the
+calling process.  The results, and so every byte written, are the same.
+
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
 error, 3 internal error (the CLI maps exceptions to 2/3).
 """
@@ -15,6 +20,7 @@ error, 3 internal error (the CLI maps exceptions to 2/3).
 from __future__ import annotations
 
 import logging
+import os
 import re
 import time
 from dataclasses import asdict, dataclass, field
@@ -60,15 +66,29 @@ NORM_CONTRACTION_TOL = 1e-9
 
 
 class Assembler:
-    """Cache-aware matrix factory with hit/assembly counters and the run's one memo, keyed by
-    (symbol hash, kind, level); a check that needs a spectrum computes it from the memoized matrix."""
+    """Cache-aware matrix factory and the run's one memo, keyed by (symbol hash, kind, level); a check that needs a
+    spectrum computes it from the memoized matrix.  It records the keys it assembled, loaded from the cache and found
+    corrupt; the counters are counted from those sets, so the union of several forked workers' sets counts as one
+    serial run does, even when two workers got the same key."""
 
     def __init__(self, cache: MatrixCache | None):
         self.cache = cache
-        self.assemblies = 0
-        self.cache_hits = 0
-        self.cache_corruptions = 0
+        self.assembled: set[tuple[str, str, int]] = set()
+        self.loaded: set[tuple[str, str, int]] = set()
+        self.corrupt: set[tuple[str, str, int]] = set()
         self._memo: dict[tuple[str, str, int], OperatorMatrix] = {}
+
+    @property
+    def assemblies(self) -> int:
+        return len(self.assembled)
+
+    @property
+    def cache_hits(self) -> int:
+        return len(self.loaded - self.assembled)  # a key another worker assembled first is a memo hit serially
+
+    @property
+    def cache_corruptions(self) -> int:
+        return len(self.corrupt)
 
     def _get(self, f: CanonicalSymbol, m: int, kind: str, build) -> OperatorMatrix:
         key = (symbol_hash(f), kind, m)
@@ -80,14 +100,14 @@ class Assembler:
                 mat = self.cache.load(key[0], kind, m)
             except CacheCorruption as exc:
                 logging.getLogger("btlab").warning("%s; recomputing", exc)
-                self.cache_corruptions += 1
+                self.corrupt.add(key)
         if mat is None:
             mat = build(f, m)
-            self.assemblies += 1
+            self.assembled.add(key)
             if self.cache is not None:
                 self.cache.store(mat, key[0], kind)
         else:
-            self.cache_hits += 1
+            self.loaded.add(key)
         self._memo[key] = mat
         return mat
 
@@ -289,8 +309,25 @@ def calibrate_laplacian_coeff() -> Fraction:
     raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
 
 
+_job: tuple[ExperimentConfig, Assembler] | None = None  # set by execute before the fork; workers inherit it
+
+
+def _run_check(name: str) -> tuple[CheckOutcome, float, set, set, set]:
+    """Run one check of the current ``execute``, in its process or in a forked worker."""
+    cfg, assembler = _job
+    t0 = time.perf_counter()
+    outcome = _CHECKS[name](cfg, assembler)
+    return outcome, time.perf_counter() - t0, assembler.assembled, assembler.loaded, assembler.corrupt
+
+
 def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
-    """Run every configured check in the calling thread; ``jobs`` is accepted for old callers and ignored."""
+    """Calibrate, then run every configured check; ``jobs`` is accepted for old callers and ignored.
+
+    The checks run in min(len(cfg.checks), usable CPUs) forked worker processes, or in the calling process when
+    that is one.  Each worker keeps the assembler it inherits as its memo and returns its outcome, its time and
+    the keys it assembled, loaded and found corrupt; the counters come from the union of those keys.
+    """
+    global _job
     assembler = Assembler(cache)
     phase = calibrate_hamiltonian_phase(cfg.seed)
     calibration = {
@@ -298,12 +335,26 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
         "hamiltonian_formula": "X^z = phase * (1+|z|^2)^2 df/dzbar",
         "laplacian_coeff": float(calibrate_laplacian_coeff()),
     }
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(cfg.checks), cpus)
+    _job = (cfg, assembler)
+    try:
+        if workers == 1:
+            results = list(map(_run_check, cfg.checks))
+        else:
+            import multiprocessing
+
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = pool.map(_run_check, cfg.checks, chunksize=1)
+    finally:
+        _job = None
     checks: dict[str, CheckOutcome] = {}
     timings: dict[str, float] = {}
-    for name in cfg.checks:
-        t0 = time.perf_counter()
-        checks[name] = _CHECKS[name](cfg, assembler)
-        timings[name] = time.perf_counter() - t0
+    for name, (outcome, seconds, assembled, loaded, corrupt) in zip(cfg.checks, results):
+        checks[name], timings[name] = outcome, seconds
+        assembler.assembled |= assembled
+        assembler.loaded |= loaded
+        assembler.corrupt |= corrupt
     status = "pass" if all(out.status == "pass" for out in checks.values()) else "fail"
     return RunReport(
         experiment=cfg.name,
@@ -311,7 +362,13 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
         seed=cfg.seed,
         m_list=list(cfg.m_list),
         calibration=calibration,
-        versions={"btlab": __version__, "numpy": np.__version__, "python": python_version()},
+        versions={
+            "btlab": __version__,
+            "numpy": np.__version__,
+            "python": python_version(),
+            "workers": workers,
+            **{var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
+        },
         checks=checks,
         counters={
             "assemblies": assembler.assemblies,
@@ -362,7 +419,8 @@ def run(
 ) -> tuple[RunReport, int]:
     """Execute ``cfg`` and write its reports; returns the report and the exit code.
 
-    ``jobs`` is accepted for old callers and ignored: sweeps run in one thread.
+    ``jobs`` is accepted for old callers and ignored: ``execute`` sizes its worker pool from the checks and the
+    usable CPUs.
     """
     cache = MatrixCache(cache_root) if cache_root is not None else MatrixCache()
     report = execute(cfg, cache=cache)

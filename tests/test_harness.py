@@ -3,6 +3,8 @@
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
 from btlab.operators import hermitian_eigenvalues, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
-from btlab import semiclassics
+from btlab import runner, semiclassics
 from btlab.semiclassics import moment_limit, spectral_moment
 from btlab.symbols import sphere_height
 
@@ -210,6 +212,33 @@ def test_assembler_recovers_from_corruption(tmp_path, caplog):
     assert asm.cache_corruptions == 1 and asm.assemblies == 1
     assert np.max(np.abs(mat.entries - toeplitz_exact(f, 4).entries)) == 0.0
     assert any(r.name == "btlab" and "recomputing" in r.getMessage() for r in caplog.records)
+
+
+def _store_repeatedly(root: Path, start, times: int) -> None:
+    f = sphere_height()
+    mat = toeplitz_exact(f, 16)
+    cache = MatrixCache(root)
+    start.wait()
+    for _ in range(times):
+        cache.store(mat, symbol_hash(f), "toeplitz")
+
+
+def test_cache_writers_of_one_key_in_four_processes(tmp_path):
+    ctx = multiprocessing.get_context("fork")
+    start = ctx.Event()
+    writers = [ctx.Process(target=_store_repeatedly, args=(tmp_path / "cache", start, 300)) for _ in range(4)]
+    for writer in writers:
+        writer.start()
+    start.set()
+    for writer in writers:
+        writer.join(timeout=120)
+    assert not any(writer.is_alive() for writer in writers)
+    assert [writer.exitcode for writer in writers] == [0] * 4
+    f = sphere_height()
+    again, fresh = MatrixCache(tmp_path / "cache").load(symbol_hash(f), "toeplitz", 16), toeplitz_exact(f, 16)
+    assert again is not None and again.kernel == fresh.kernel
+    assert np.array_equal(again.entries, fresh.entries)
+    assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
 def test_cache_rejects_out_of_range_index(tmp_path):
@@ -451,6 +480,65 @@ def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
     for k, table in zip((1, 2, 3), report.checks["spectrum"].tables):
         limit = float(moment_limit(f, k).re)
         assert table.records == [(m, abs(spectral_moment(spectra[m], k) - limit)) for m in (2, 4, 8, 16)]
+
+
+def _usable_cpus(monkeypatch, n: int) -> None:
+    """Make ``execute`` size its pool as on an n-CPU machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_pooled_run_writes_what_one_worker_writes(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg_path = write_cfg(tmp_path, FULL.format(out=tmp_path / "out"))
+    reports, files = {}, {}
+    for n in (1, 2):
+        _usable_cpus(monkeypatch, n)
+        out = tmp_path / f"out{n}"
+        reports[n], code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / f"cache{n}", out=out)
+        assert code == 0
+        assert reports[n].versions["workers"] == n
+        assert reports[n].versions["OPENBLAS_NUM_THREADS"] == "1" and reports[n].versions["OMP_NUM_THREADS"] is None
+        files[n] = {path.relative_to(out): path.read_bytes() for path in [out / "tables.csv", *out.glob("plots/*")]}
+    one, two = reports[1], reports[2]
+    assert files[1] == files[2]
+    assert {n: c.status for n, c in one.checks.items()} == {n: c.status for n, c in two.checks.items()}
+    assert {n: c.details for n, c in one.checks.items()} == {n: c.details for n, c in two.checks.items()}
+    assert one.counters == two.counters and one.counters["assemblies"] > 0
+    assert list(two.timings) == list(one.checks)
+
+
+def test_a_check_that_raises_in_a_worker_reaches_the_caller(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+
+    def boom(cfg, assembler):
+        raise RuntimeError(f"synthetic failure in pid {os.getpid()}")
+
+    monkeypatch.setitem(runner._CHECKS, "norms", boom)
+    cfg_path = write_cfg(tmp_path, MINIMAL.replace("checks = norms", "checks = norms, trace"))
+    with pytest.raises(RuntimeError, match="synthetic failure in pid") as caught:
+        run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "out")
+    assert str(caught.value) != f"synthetic failure in pid {os.getpid()}"  # raised in a forked worker
+    result = CliRunner().invoke(
+        main, ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--cache-root", str(tmp_path / "cache")]
+    )
+    assert result.exit_code == 3
+    assert "internal error: synthetic failure in pid" in result.output
+
+
+def test_pooled_counters_count_a_corrupt_file_once(tmp_path, monkeypatch):
+    # both workers need every T_height; the key sets count each key once, as a serial run does
+    _usable_cpus(monkeypatch, 2)
+    f = sphere_height()
+    _tamper_first_entry(MatrixCache(tmp_path / "cache").store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz"))
+    text = MINIMAL.replace("checks = norms", "checks = norms, spectrum, trace")
+    cfg_path = write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16"))
+    cold, code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "cold")
+    assert code == 0 and cold.versions["workers"] == 2
+    assert cold.counters == {"assemblies": 4, "cache_hits": 0, "cache_corruptions": 1}
+    warm, code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "warm")
+    assert code == 0
+    assert warm.counters == {"assemblies": 0, "cache_hits": cold.counters["assemblies"], "cache_corruptions": 0}
 
 
 def test_report_files_written(tmp_path):
