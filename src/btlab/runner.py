@@ -1,17 +1,20 @@
 """Experiment orchestration: execute checks, manage the cache, write reports.
 
 A run executes every requested check against the configured symbols and
-levels, records one outcome per check, and writes three artifacts into the
-output directory:
+levels, records one outcome per check, and writes the files of ``report``
+(report.json, tables.csv, plots/) into the output directory.
 
-    report.json   -- the RunReport, as dataclasses.asdict gives it, in strict JSON
-    tables.csv    -- every convergence table as rows (check, m, value)
-    plots/*.dat   -- one two-column gnuplot file per table
-
-The checks are independent of one another.  With n = min(number of
-checks, usable CPUs) above one, they run in a pool of n forked worker
-processes, one check per task in config order; with n = 1 they run in the
-calling process.  The results, and so every byte written, are the same.
+Each sweep check is one task per level of m_list, a row that gives that
+level's values and exact decision; the work of a check that needs no level
+(a sup norm, an average, the moment limits, the symbolic checks) is one
+more task.  The tasks go out largest level first, in config order within a
+level, with the no-level tasks and then the calibration last, so the
+costliest rows start at once.  With n = min(number of tasks, usable CPUs)
+above one, n forked worker processes take them from one pipe
+(``forkmap``); with n = 1 they run in the calling process.  The calling
+process then builds each check's tables, fits and details from its rows.
+The results, and so every byte written, are the same for every n.  A
+worker that dies makes the run raise.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
 error, 3 internal error (the CLI maps exceptions to 2/3).
@@ -21,9 +24,7 @@ from __future__ import annotations
 
 import logging
 import os
-import re
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from platform import python_version
@@ -35,14 +36,15 @@ from .cache import MatrixCache, symbol_hash
 from .config import ExperimentConfig
 from .errors import CacheCorruption
 from .exact import QC
-from .operators import OperatorMatrix, equals_i_times_exact, hermitian_eigenvalues, trace_exact
+from .forkmap import fork_map
+from .operators import OperatorMatrix, equals_i_times_exact, hermitian_eigenvalues, operator_norm, trace_exact
 from .operators import prequantum_geometric, toeplitz_exact
+from .report import CheckOutcome, RunReport, write_report
 from .semiclassics import (
     EXACT_ZERO_TOL,
     ConvergenceTable,
     dirac_defect,
     loglog_slope,
-    norm_defect,
     product_coefficients,
     sass_remainder,
     spectral_moment,
@@ -118,27 +120,6 @@ class Assembler:
         return self._get(f, m, "prequantum", prequantum_geometric)
 
 
-@dataclass
-class CheckOutcome:
-    status: str
-    tables: list[ConvergenceTable] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-
-
-@dataclass
-class RunReport:
-    experiment: str
-    manifold: str
-    seed: int
-    m_list: list[int]
-    calibration: dict
-    versions: dict
-    checks: dict[str, CheckOutcome]
-    counters: dict
-    timings: dict
-    status: str
-
-
 def _pairs(names: list[str]) -> list[tuple[str, str]]:
     if len(names) == 1:
         return [(names[0], names[0])]
@@ -150,11 +131,25 @@ def _slope_ok(table: ConvergenceTable, threshold: float) -> bool:
     return fit.exact_identity or fit.slope <= threshold
 
 
-def _check_norms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
+# Each sweep check is split in two.  Its row gives one level's values for every active symbol or pair, with that
+# level's exact decision; its verdict builds the tables, fits and details from the rows of all levels, in the
+# parent.  A check's work that needs no level (a sup norm, an average, the moment limits, a whole symbolic check)
+# is its base.
+
+
+def _norms_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
+    return {name: operator_norm(assembler.toeplitz(f, m)) for name, f in cfg.active_symbols()}
+
+
+def _norms_base(cfg: ExperimentConfig) -> dict:
+    return {name: sup_norm(f) for name, f in cfg.active_symbols()}
+
+
+def _norms_verdict(cfg: ExperimentConfig, sups: dict, rows: dict) -> CheckOutcome:
     tables, details, ok = [], {}, True
-    for name, f in cfg.active_symbols():
-        sup = sup_norm(f)
-        table = sweep(name, cfg.m_list, lambda m: norm_defect(f, m, sup, toeplitz=assembler.toeplitz))
+    for name in cfg.active:
+        sup = sups[name]
+        table = sweep(name, cfg.m_list, lambda m: sup - rows[m][name])
         tables.append(table)
         defects = table.values()
         if any(d < -NORM_CONTRACTION_TOL for d in defects):
@@ -167,59 +162,80 @@ def _check_norms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
-def _check_dirac(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
-    threshold = -1.0 + cfg.slope_window
-    tables, details, ok = [], {}, True
+def _dirac_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
+    return {
+        (na, nb): dirac_defect(cfg.symbols[na], cfg.symbols[nb], m, toeplitz=assembler.toeplitz)
+        for na, nb in _pairs(cfg.active)
+    }
+
+
+def _product_row(cfg: ExperimentConfig, assembler: Assembler, m: int, order: int) -> dict:
+    rows = {}
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
-        table = sweep(f"{na}-{nb}", cfg.m_list, lambda m: dirac_defect(f, g, m, toeplitz=assembler.toeplitz))
+        rows[na, nb] = sass_remainder(f, g, product_coefficients(f, g, order), m, toeplitz=assembler.toeplitz)
+    return rows
+
+
+def _pair_verdict(cfg: ExperimentConfig, rows: dict, order: int, scaled: bool) -> CheckOutcome:
+    """A defect of O(m^-order) per pair: its fitted slope against the threshold, and with ``scaled`` its largest
+    m^order multiple."""
+    threshold = -float(order) + order * cfg.slope_window
+    tables, details, ok = [], {}, True
+    for pair in _pairs(cfg.active):
+        table = sweep("-".join(pair), cfg.m_list, lambda m: rows[m][pair])
         tables.append(table)
         if not _slope_ok(table, threshold):
             ok = False
         details[table.name] = {"slope": table.fit.slope, "threshold": threshold}
+        if scaled:
+            details[table.name]["K_max_scaled"] = max(m**order * v for m, v in table.records)
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
-def _check_product(cfg: ExperimentConfig, assembler: Assembler, order: int) -> CheckOutcome:
-    threshold = -float(order) + order * cfg.slope_window
-    tables, details, ok = [], {}, True
-    for na, nb in _pairs(cfg.active):
-        f, g = cfg.symbols[na], cfg.symbols[nb]
-        coeffs = product_coefficients(f, g, order)
-        table = sweep(
-            f"{na}-{nb}", cfg.m_list, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=assembler.toeplitz)
-        )
-        tables.append(table)
-        if not _slope_ok(table, threshold):
-            ok = False
-        details[table.name] = {
-            "slope": table.fit.slope,
-            "threshold": threshold,
-            "K_max_scaled": max(m**order * v for m, v in table.records),
-        }
-    return CheckOutcome("pass" if ok else "fail", tables, details)
-
-
-def _check_trace(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
-    tables, details, ok = [], {}, True
+def _trace_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
+    rows = {}
     for name, f in cfg.active_symbols():
-        avg = average(f)
-        table = sweep(name, cfg.m_list, lambda m: float(np.trace(assembler.toeplitz(f, m).entries).real))
-        tables.append(table)
-        exact = all(trace_exact(assembler.toeplitz(f, m)) == QC(m + 1) * avg for m in cfg.m_list)
+        t = assembler.toeplitz(f, m)
+        rows[name] = (float(np.trace(t.entries).real), trace_exact(t) == QC(m + 1) * average(f))
+    return rows
+
+
+def _trace_base(cfg: ExperimentConfig) -> dict:
+    return {name: float(average(f).re) for name, f in cfg.active_symbols()}
+
+
+def _trace_verdict(cfg: ExperimentConfig, averages: dict, rows: dict) -> CheckOutcome:
+    tables, details, ok = [], {}, True
+    for name in cfg.active:
+        tables.append(sweep(name, cfg.m_list, lambda m: rows[m][name][0]))
+        exact = all(rows[m][name][1] for m in cfg.m_list)
         ok = ok and exact
-        details[name] = {"average": float(avg.re), "exact": exact}
+        details[name] = {"average": averages[name], "exact": exact}
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
-def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
+_MOMENTS = (1, 2, 3)
+
+
+def _spectrum_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
+    rows = {}
+    for name, f in cfg.active_symbols():
+        eigs = hermitian_eigenvalues(assembler.toeplitz(f, m))  # one spectrum per level for all the moments
+        rows[name] = [spectral_moment(eigs, k) for k in _MOMENTS]
+    return rows
+
+
+def _spectrum_base(cfg: ExperimentConfig) -> dict:
+    return {name: [float(moment_limit(f, k).re) for k in _MOMENTS] for name, f in cfg.active_symbols()}
+
+
+def _spectrum_verdict(cfg: ExperimentConfig, limits: dict, rows: dict) -> CheckOutcome:
     threshold = -1.0 + cfg.slope_window
     tables, details, ok = [], {}, True
-    for name, f in cfg.active_symbols():
-        spectra = {m: hermitian_eigenvalues(assembler.toeplitz(f, m)) for m in cfg.m_list}  # one per level
-        for k in (1, 2, 3):
-            limit = float(moment_limit(f, k).re)
-            table = sweep(f"{name}-k{k}", cfg.m_list, lambda m: abs(spectral_moment(spectra[m], k) - limit))
+    for name in cfg.active:
+        for i, (k, limit) in enumerate(zip(_MOMENTS, limits[name])):
+            table = sweep(f"{name}-k{k}", cfg.m_list, lambda m: abs(rows[m][name][i] - limit))
             tables.append(table)
             if not _slope_ok(table, threshold):
                 ok = False
@@ -231,16 +247,21 @@ def _check_spectrum(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
-def _check_tuynman(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
-    tables, details, ok = [], {}, True
+def _tuynman_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
+    rows = {}
     for name, f in cfg.active_symbols():
-        operands = {  # one pair per level, for both the float row and the exact decision
-            m: tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
-            for m in cfg.m_list
-        }
-        table = sweep(name, cfg.m_list, lambda m: tuynman_gap(*operands[m]))
+        # one operand pair for both the float row and the exact decision
+        q, rhs = tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
+        rows[name] = (tuynman_gap(q, rhs), equals_i_times_exact(q, rhs))
+    return rows
+
+
+def _tuynman_verdict(cfg: ExperimentConfig, base: None, rows: dict) -> CheckOutcome:
+    tables, details, ok = [], {}, True
+    for name in cfg.active:
+        table = sweep(name, cfg.m_list, lambda m: rows[m][name][0])
         tables.append(table)
-        exact = all(equals_i_times_exact(q, rhs) for q, rhs in operands.values())
+        exact = all(rows[m][name][1] for m in cfg.m_list)
         ok = ok and exact
         details[name] = {"max_defect": max(table.values()), "exact": exact}
     return CheckOutcome("pass" if ok else "fail", tables, details)
@@ -250,7 +271,7 @@ def _random_pool(cfg: ExperimentConfig, count: int) -> list[CanonicalSymbol]:
     return [random_real_symbol(cfg.seed * 1000 + i, 2) for i in range(count)]
 
 
-def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
+def _check_staraxioms(cfg: ExperimentConfig) -> CheckOutcome:
     details, ok = {}, True
     pool = [f for _, f in cfg.active_symbols()] + _random_pool(cfg, 6)
     for i in range(5):
@@ -266,7 +287,7 @@ def _check_staraxioms(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutco
     return CheckOutcome("pass" if ok else "fail", [], details)
 
 
-def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutcome:
+def _check_equivalence(cfg: ExperimentConfig) -> CheckOutcome:
     details, ok = {}, True
     pool = [f for _, f in cfg.active_symbols()] + _random_pool(cfg, 5)
     for i in range(5):
@@ -279,16 +300,37 @@ def _check_equivalence(cfg: ExperimentConfig, assembler: Assembler) -> CheckOutc
     return CheckOutcome("pass" if ok else "fail", [], details)
 
 
-_CHECKS = {
-    "norms": _check_norms,
-    "dirac": _check_dirac,
-    "product": lambda cfg, assembler: _check_product(cfg, assembler, 1),
-    "sass2": lambda cfg, assembler: _check_product(cfg, assembler, 2),
-    "trace": _check_trace,
-    "spectrum": _check_spectrum,
-    "tuynman": _check_tuynman,
+def _symbolic_verdict(cfg: ExperimentConfig, outcome: CheckOutcome, rows: dict) -> CheckOutcome:
+    """A symbolic check has no rows: its base is its whole outcome."""
+    return outcome
+
+
+_ROWS = {  # (cfg, assembler, m) -> that level's values, in a worker
+    "norms": _norms_row,
+    "dirac": _dirac_row,
+    "product": lambda cfg, assembler, m: _product_row(cfg, assembler, m, 1),
+    "sass2": lambda cfg, assembler, m: _product_row(cfg, assembler, m, 2),
+    "trace": _trace_row,
+    "spectrum": _spectrum_row,
+    "tuynman": _tuynman_row,
+}
+_BASES = {  # cfg -> the check's work that needs no level, in a worker
+    "norms": _norms_base,
+    "trace": _trace_base,
+    "spectrum": _spectrum_base,
     "staraxioms": _check_staraxioms,
     "equivalence": _check_equivalence,
+}
+_VERDICTS = {  # (cfg, base or None, {m: row}) -> CheckOutcome, in the calling process
+    "norms": _norms_verdict,
+    "dirac": lambda cfg, base, rows: _pair_verdict(cfg, rows, 1, scaled=False),
+    "product": lambda cfg, base, rows: _pair_verdict(cfg, rows, 1, scaled=True),
+    "sass2": lambda cfg, base, rows: _pair_verdict(cfg, rows, 2, scaled=True),
+    "trace": _trace_verdict,
+    "spectrum": _spectrum_verdict,
+    "tuynman": _tuynman_verdict,
+    "staraxioms": _symbolic_verdict,
+    "equivalence": _symbolic_verdict,
 }
 
 
@@ -309,52 +351,75 @@ def calibrate_laplacian_coeff() -> Fraction:
     raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
 
 
-_job: tuple[ExperimentConfig, Assembler] | None = None  # set by execute before the fork; workers inherit it
-
-
-def _run_check(name: str) -> tuple[CheckOutcome, float, set, set, set]:
-    """Run one check of the current ``execute``, in its process or in a forked worker."""
-    cfg, assembler = _job
-    t0 = time.perf_counter()
-    outcome = _CHECKS[name](cfg, assembler)
-    return outcome, time.perf_counter() - t0, assembler.assembled, assembler.loaded, assembler.corrupt
-
-
-def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
-    """Calibrate, then run every configured check; ``jobs`` is accepted for old callers and ignored.
-
-    The checks run in min(len(cfg.checks), usable CPUs) forked worker processes, or in the calling process when
-    that is one.  Each worker keeps the assembler it inherits as its memo and returns its outcome, its time and
-    the keys it assembled, loaded and found corrupt; the counters come from the union of those keys.
-    """
-    global _job
-    assembler = Assembler(cache)
+def _calibrate(cfg: ExperimentConfig) -> dict:
+    """The report's calibration: the Hamiltonian phase and the Laplacian coefficient, each pinned by its oracle."""
     phase = calibrate_hamiltonian_phase(cfg.seed)
-    calibration = {
+    return {
         "poisson_phase": "-i" if phase == QC(0, -1) else "+i",
         "hamiltonian_formula": "X^z = phase * (1+|z|^2)^2 df/dzbar",
         "laplacian_coeff": float(calibrate_laplacian_coeff()),
     }
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(cfg.checks), cpus)
-    _job = (cfg, assembler)
-    try:
-        if workers == 1:
-            results = list(map(_run_check, cfg.checks))
-        else:
-            import multiprocessing
 
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_run_check, cfg.checks, chunksize=1)
-    finally:
-        _job = None
-    checks: dict[str, CheckOutcome] = {}
-    timings: dict[str, float] = {}
-    for name, (outcome, seconds, assembled, loaded, corrupt) in zip(cfg.checks, results):
-        checks[name], timings[name] = outcome, seconds
-        assembler.assembled |= assembled
-        assembler.loaded |= loaded
-        assembler.corrupt |= corrupt
+
+def _tasks(cfg: ExperimentConfig) -> list[tuple[str, int | None]]:
+    """The run's (check, level) tasks: largest level first, config order within a level, then the no-level work.
+
+    The costliest rows are those of the largest level, so they start first and the workers finish close together.
+    """
+    checks = list(dict.fromkeys(cfg.checks))
+    rows = [(name, m) for m in reversed(cfg.m_list) for name in checks if name in _ROWS]
+    return rows + [(name, None) for name in checks if name in _BASES]
+
+
+def _run_task(cfg: ExperimentConfig, assembler: Assembler, task: tuple[str | None, int | None]) -> tuple:
+    """One task's value and its seconds, in the calling process or in a forked worker; (None, None) calibrates."""
+    name, m = task
+    t0 = time.perf_counter()
+    if name is None:
+        value = _calibrate(cfg)
+    else:
+        value = _BASES[name](cfg) if m is None else _ROWS[name](cfg, assembler, m)
+    return value, time.perf_counter() - t0
+
+
+def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
+    """Calibrate and run every configured check; ``jobs`` is accepted for old callers and ignored.
+
+    The checks run as ``_tasks``: one row task per (check, level) and one task for a check's work that needs no
+    level, then the calibration, over min(tasks, usable CPUs) forked worker processes, or in the calling process
+    when that is one.  Each worker keeps the assembler it inherits as its memo and sends back the keys it
+    assembled, loaded and found corrupt; the counters come from the union of those keys.  The verdicts, with
+    their fits, run here.
+    """
+    assembler = Assembler(cache)
+    tasks = _tasks(cfg)
+    items = [*tasks, (None, None)]  # the calibration goes last: no check reads it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+
+    def run_task(task):  # the children are forked, so this closure is never pickled
+        return _run_task(cfg, assembler, task)
+
+    if workers <= 1:
+        results = list(map(run_task, items))
+    else:
+        results, key_sets = fork_map(
+            run_task, items, workers, lambda: (assembler.assembled, assembler.loaded, assembler.corrupt)
+        )
+        for assembled, loaded, corrupt in key_sets:
+            assembler.assembled |= assembled
+            assembler.loaded |= loaded
+            assembler.corrupt |= corrupt
+    *results, (calibration, _) = results
+    timings = dict.fromkeys(cfg.checks, 0.0)
+    bases, rows = {}, {name: {} for name in cfg.checks}
+    for (name, m), (value, seconds) in zip(tasks, results):
+        timings[name] += seconds
+        if m is None:
+            bases[name] = value
+        else:
+            rows[name][m] = value
+    checks = {name: _VERDICTS[name](cfg, bases.get(name), rows[name]) for name in cfg.checks}
     status = "pass" if all(out.status == "pass" for out in checks.values()) else "fail"
     return RunReport(
         experiment=cfg.name,
@@ -380,37 +445,6 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
     )
 
 
-def _safe_label(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
-
-
-def write_report(report: RunReport, outdir: Path) -> None:
-    import json
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-    rows = []
-    for check_name, outcome in report.checks.items():
-        for table in outcome.tables:
-            label = f"{check_name}:{table.name}"
-            for m, v in table.records:
-                rows.append((label, m, v))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    csv_lines = ["check,m,value"] + [f"{label},{m},{v:.17g}" for label, m, v in rows]
-    (outdir / "tables.csv").write_text("\n".join(csv_lines) + "\n")
-
-    plots = outdir / "plots"
-    plots.mkdir(exist_ok=True)
-    for check_name, outcome in report.checks.items():
-        for table in outcome.tables:
-            label = _safe_label(f"{check_name}_{table.name}")
-            lines = [f"# {check_name}:{table.name}", "# m value"]
-            lines += [f"{m} {v:.17g}" for m, v in table.records]
-            (plots / f"{label}.dat").write_text("\n".join(lines) + "\n")
-
-
 def run(
     cfg: ExperimentConfig,
     jobs: int | None = None,
@@ -419,7 +453,7 @@ def run(
 ) -> tuple[RunReport, int]:
     """Execute ``cfg`` and write its reports; returns the report and the exit code.
 
-    ``jobs`` is accepted for old callers and ignored: ``execute`` sizes its worker pool from the checks and the
+    ``jobs`` is accepted for old callers and ignored: ``execute`` sizes its worker count from its tasks and the
     usable CPUs.
     """
     cache = MatrixCache(cache_root) if cache_root is not None else MatrixCache()

@@ -1,12 +1,18 @@
 """Config parsing, matrix cache, runner determinism, CLI exit codes."""
 
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,22 +399,27 @@ terms =
     assert all(v <= 1e-10 for _, v in table.records)
 
 
+def _counting(fn, log: Path):
+    """``fn``, appending one byte to ``log`` per call, in whichever worker process makes it."""
+
+    def counting(*args, **kwargs):
+        with open(log, "ab") as out:
+            out.write(b".")
+        return fn(*args, **kwargs)
+
+    return counting
+
+
 def test_tuynman_check_builds_one_operand_pair_per_level(tmp_path, monkeypatch):
     # the float row and the exact decision share one (Q_f, T_{f - Delta f/2m}) per level
-    calls = []
-    laplacian = semiclassics.laplacian
-
-    def counting(f):
-        calls.append(f)
-        return laplacian(f)
-
-    monkeypatch.setattr(semiclassics, "laplacian", counting)
+    calls = tmp_path / "calls"
+    monkeypatch.setattr(semiclassics, "laplacian", _counting(semiclassics.laplacian, calls))
     text = FULL.format(out=tmp_path / "out").replace(
         "checks = norms, dirac, product, sass2, trace, spectrum, tuynman, staraxioms, equivalence", "checks = tuynman"
     )
     report, code = run_experiment(parse_config(write_cfg(tmp_path, text)), cache_root=tmp_path / "cache")
     assert code == 0 and report.checks["tuynman"].details["height"]["exact"]
-    assert len(calls) == 2 * 4  # (height, xcoord) x (8, 16, 32, 64)
+    assert len(calls.read_bytes()) == 2 * 4  # (height, xcoord) x (8, 16, 32, 64)
 
 
 def test_norms_run_flags_exact_identity_for_unit(tmp_path):
@@ -460,20 +471,14 @@ def test_checks_share_one_memo(tmp_path):
 
 
 def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    calls = tmp_path / "calls"
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, calls))
     text = MINIMAL.replace("checks = norms", "checks = spectrum").replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")
     cfg = parse_config(write_cfg(tmp_path, text))
     cfg.output = tmp_path / "out"
     report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
     assert code == 0
-    assert len(calls) == 4  # moments k = 1, 2, 3 share one spectrum per level
+    assert len(calls.read_bytes()) == 4  # moments k = 1, 2, 3 share one spectrum per level
     assert report.counters["assemblies"] == 4  # one T_height per level
     f = sphere_height()
     spectra = {m: hermitian_eigenvalues(toeplitz_exact(f, m)) for m in (2, 4, 8, 16)}
@@ -490,9 +495,11 @@ def _usable_cpus(monkeypatch, n: int) -> None:
 def test_pooled_run_writes_what_one_worker_writes(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(runner, "time", SimpleNamespace(perf_counter=itertools.count().__next__))  # 1 s per task
     cfg_path = write_cfg(tmp_path, FULL.format(out=tmp_path / "out"))
+    tasks_per_check = Counter(name for name, _ in runner._tasks(parse_config(cfg_path)))
     reports, files = {}, {}
-    for n in (1, 2):
+    for n in (1, 2, 3):
         _usable_cpus(monkeypatch, n)
         out = tmp_path / f"out{n}"
         reports[n], code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / f"cache{n}", out=out)
@@ -500,21 +507,33 @@ def test_pooled_run_writes_what_one_worker_writes(tmp_path, monkeypatch):
         assert reports[n].versions["workers"] == n
         assert reports[n].versions["OPENBLAS_NUM_THREADS"] == "1" and reports[n].versions["OMP_NUM_THREADS"] is None
         files[n] = {path.relative_to(out): path.read_bytes() for path in [out / "tables.csv", *out.glob("plots/*")]}
-    one, two = reports[1], reports[2]
-    assert files[1] == files[2]
-    assert {n: c.status for n, c in one.checks.items()} == {n: c.status for n, c in two.checks.items()}
-    assert {n: c.details for n, c in one.checks.items()} == {n: c.details for n, c in two.checks.items()}
-    assert one.counters == two.counters and one.counters["assemblies"] > 0
-    assert list(two.timings) == list(one.checks)
+        # one float per configured check, the sum of its task times
+        assert list(reports[n].timings) == list(reports[n].checks)
+        assert reports[n].timings == {name: float(count) for name, count in tasks_per_check.items()}
+    assert files[1] == files[2] == files[3]
+    one = reports[1]
+    for other in (reports[2], reports[3]):
+        assert {n: c.status for n, c in one.checks.items()} == {n: c.status for n, c in other.checks.items()}
+        assert {n: c.details for n, c in one.checks.items()} == {n: c.details for n, c in other.checks.items()}
+        assert one.counters == other.counters and one.counters["assemblies"] > 0
+
+
+def test_tasks_go_out_largest_level_first():
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "bench" / "configs" / "stretch-1024.cfg")
+    assert runner._tasks(cfg) == [
+        *[(name, m) for m in (1024, 512, 256, 128) for name in ("norms", "spectrum", "tuynman")],
+        ("norms", None),
+        ("spectrum", None),
+    ]
 
 
 def test_a_check_that_raises_in_a_worker_reaches_the_caller(tmp_path, monkeypatch):
     _usable_cpus(monkeypatch, 2)
 
-    def boom(cfg, assembler):
+    def boom(cfg, assembler, m):
         raise RuntimeError(f"synthetic failure in pid {os.getpid()}")
 
-    monkeypatch.setitem(runner._CHECKS, "norms", boom)
+    monkeypatch.setitem(runner._ROWS, "norms", boom)
     cfg_path = write_cfg(tmp_path, MINIMAL.replace("checks = norms", "checks = norms, trace"))
     with pytest.raises(RuntimeError, match="synthetic failure in pid") as caught:
         run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "out")
@@ -524,6 +543,44 @@ def test_a_check_that_raises_in_a_worker_reaches_the_caller(tmp_path, monkeypatc
     )
     assert result.exit_code == 3
     assert "internal error: synthetic failure in pid" in result.output
+
+
+_KILL_EVERY_NORMS_WORKER = """
+import os, signal, sys
+from btlab import cli, runner
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers, so the rows never run in this process
+runner._ROWS["norms"] = lambda cfg, assembler, m: os.kill(os.getpid(), signal.SIGKILL)
+cli.main(sys.argv[1:])
+"""
+
+
+def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def die(cfg, assembler, m):
+        if os.getpid() == caller:
+            raise AssertionError("a row ran in the calling process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setitem(runner._ROWS, "norms", die)
+    cfg_path = write_cfg(tmp_path, MINIMAL.replace("checks = norms", "checks = norms, trace"))
+    with pytest.raises(RuntimeError, match=r"worker process \d+ died \(signal 9\)"):
+        runner.execute(parse_config(cfg_path))
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _KILL_EVERY_NORMS_WORKER, "run", str(cfg_path), "--out", str(tmp_path / "out")]
+        + ["--cache-root", str(tmp_path / "cache")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "internal error: worker process" in result.stderr
 
 
 def test_pooled_counters_count_a_corrupt_file_once(tmp_path, monkeypatch):
