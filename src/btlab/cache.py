@@ -6,10 +6,10 @@ a line ``den d`` with its one positive denominator, then one line
 ``j k re im`` of plain ints per nonzero entry, in lowest terms.  A load
 parses every value with ``int`` and rebuilds the matrix from that kernel
 exactly as a fresh assembly does, so a hit is the same matrix: an equal
-kernel and bit-equal floats.  Only a matrix with an exact kernel can be
-stored.  Any header, checksum, count or index mismatch, a malformed value,
-a kernel not in lowest terms or holding an explicit zero entry, or a file
-in an older format raises CacheCorruption; callers recompute and overwrite.
+kernel and bit-equal floats.  Any header, checksum, count or index
+mismatch, a malformed value, a kernel not in lowest terms or holding an
+explicit zero entry, or a file in an older format raises CacheCorruption;
+callers recompute and overwrite.
 A store writes a temp file of its own and renames it into place, so
 processes that store one key at once leave one whole file.
 """
@@ -21,7 +21,7 @@ import os
 from pathlib import Path
 
 from .errors import CacheCorruption
-from .operators import Kernel, OperatorMatrix, from_kernel
+from .operators import Kernel, OperatorMatrix
 from .symbols import ChartRational
 
 CACHE_ENV = "BTLAB_CACHE_DIR"
@@ -50,8 +50,6 @@ class MatrixCache:
         return self.root / f"{kind}-m{m}-{source[:32]}.mat"
 
     def store(self, mat: OperatorMatrix, source: str, kind: str) -> Path:
-        if mat.kernel is None:
-            raise ValueError(f"cannot cache a level-{mat.m} matrix with no exact kernel")
         self.root.mkdir(parents=True, exist_ok=True)
         entries = (f"{j} {k} {re} {im}" for (j, k), (re, im) in sorted(mat.kernel.nums.items()))
         block = "\n".join([f"den {mat.kernel.den}", *entries])
@@ -112,7 +110,7 @@ class MatrixCache:
             raise
         except Exception as exc:
             raise CacheCorruption(f"{path}: unreadable ({exc})") from exc
-        return from_kernel(kernel, m)
+        return OperatorMatrix(m, kernel)
 
     def clear(self) -> int:
         if not self.root.exists():

@@ -56,9 +56,6 @@ class QC:
         other = QC.coerce(other)
         return QC(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return QC.coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QC(self.re * other, self.im * other)
@@ -69,19 +66,6 @@ class QC:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = QC.coerce(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero QC")
-        return QC(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
-
-    def __rtruediv__(self, other):
-        return QC.coerce(other) / self
 
     def __neg__(self):
         return QC(-self.re, -self.im)

@@ -1,10 +1,11 @@
 """Operator assembly on the level-m section spaces, exact and by quadrature.
 
-Matrices are expressed in the orthonormal monomial basis z^j/||z^j||.  The
-exact path assembles the operator in the *unnormalized* monomial basis,
-where every entry is a rational combination of Beta integrals, and converts
-to floating point once at the end; that rational kernel is kept on the
-result so identities can be checked with no tolerance at all.
+An operator is its exact kernel: ``OperatorMatrix(m, kernel)`` holds the
+operator in the *unnormalized* monomial basis, where every entry is a
+rational combination of Beta integrals, so identities are checked with no
+tolerance at all.  Its float matrix in the orthonormal monomial basis
+z^j/||z^j|| is taken from the kernel on first read and kept.  Quadrature
+assembly has no kernel and gives plain arrays.
 
 For a numerator monomial z^a zbar^b over (1+t)^R paired between z^j and
 z^k, the angular integral enforces j = a + k - b and the radial integral is
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm, perm, sqrt
 from types import MappingProxyType
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import QuadratureBudgetTooSmall, ShapeMismatch
 from .exact import QC, Rational, over_common_den
-from .hilbert import basis_norm_sq, dimension
+from .hilbert import basis_norm_sq
 from .symbols import CanonicalSymbol, hamiltonian_field
 
 
@@ -88,48 +90,35 @@ class Kernel(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A dense operator on the level-m section space.
-
-    ``entries`` is the matrix in the orthonormal basis; ``kernel``, when
-    present, is the exact matrix in the unnormalized monomial basis as a
-    ``Kernel`` (the two are conjugate by the diagonal of basis norms).  A
-    matrix is exact exactly when it has a kernel: exact assembly and the disk
-    cache give one, quadrature does not.
+    """An exact operator on the level-m section space: its ``Kernel``, the matrix in
+    the unnormalized monomial basis.  ``entries``, the read-only float matrix in the
+    orthonormal basis (conjugate to the kernel by the diagonal of basis norms), is
+    built from the kernel on first read, so equal kernels give bit-equal floats and
+    an operator that is only decided exactly never fills a dense matrix.
     """
 
     m: int
-    entries: np.ndarray
-    kernel: Kernel | None = None
+    kernel: Kernel
 
-    def __post_init__(self):
-        n = dimension(self.m)
-        if self.entries.shape != (n, n):
-            raise ShapeMismatch(f"expected {(n, n)} entries, got {self.entries.shape}")
-        self.entries.flags.writeable = False
-
-
-def from_kernel(kernel: Mapping, m: int) -> OperatorMatrix:
-    """The matrix of an exact kernel: a ``Kernel``, or a map (j, k) -> QC, which is
-    brought to one first.
-
-    The float entry at (j, k) is (re/den + i im/den) * scale[j]/scale[k] with
-    scale[j] = sqrt(basis_norm_sq(m, j)); each re/den is an int/int true division
-    and so correctly rounded.  The entries go into the dense matrix in one scatter.
-    """
-    if not isinstance(kernel, Kernel):
-        kernel = Kernel(*over_common_den(kernel))
-    den, nums, n = kernel.den, kernel.nums, len(kernel)
-    scale = np.sqrt([1 / ((m + 1) * c) for c in _binomial_row(m)])
-    if not scale.all():  # 1/((m+1) C(m, j)) underflows to 0.0 from m = 1071
-        raise ZeroDivisionError(f"a basis norm underflows to 0.0 at level {m}")
-    j, k = np.fromiter(chain.from_iterable(nums), dtype=np.intp, count=2 * n).reshape(n, 2).T
-    parts = np.fromiter(chain.from_iterable(nums.values()), dtype=object, count=2 * n) / den  # Python int / int
-    re, im = parts.astype(float).reshape(n, 2).T
-    ratio = scale[j] / scale[k]
-    entries = np.zeros((m + 1, m + 1), dtype=complex)
-    entries.real[j, k] = re * ratio
-    entries.imag[j, k] = im * ratio
-    return OperatorMatrix(m, entries, kernel)
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The float entry at (j, k) is (re/den + i im/den) * scale[j]/scale[k] with
+        scale[j] = sqrt(basis_norm_sq(m, j)); each re/den is an int/int true division
+        and so correctly rounded.  The entries go into the dense matrix in one scatter.
+        """
+        m, den, nums, n = self.m, self.kernel.den, self.kernel.nums, len(self.kernel)
+        scale = np.sqrt([1 / ((m + 1) * c) for c in _binomial_row(m)])
+        if not scale.all():  # 1/((m+1) C(m, j)) underflows to 0.0 from m = 1071
+            raise ZeroDivisionError(f"a basis norm underflows to 0.0 at level {m}")
+        j, k = np.fromiter(chain.from_iterable(nums), dtype=np.intp, count=2 * n).reshape(n, 2).T
+        parts = np.fromiter(chain.from_iterable(nums.values()), dtype=object, count=2 * n) / den  # Python int / int
+        re, im = parts.astype(float).reshape(n, 2).T
+        ratio = scale[j] / scale[k]
+        entries = np.zeros((m + 1, m + 1), dtype=complex)
+        entries.real[j, k] = re * ratio
+        entries.imag[j, k] = im * ratio
+        entries.flags.writeable = False
+        return entries
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -185,7 +174,7 @@ def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:
     onto holomorphic sections.  Exact rational assembly."""
     if m < 0:
         raise ValueError("level m must be >= 0")
-    return from_kernel(_banded_kernel(m, [(f.den, f.nums, f.denom_exp, False)]), m)
+    return OperatorMatrix(m, _banded_kernel(m, [(f.den, f.nums, f.denom_exp, False)]))
 
 
 def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
@@ -208,7 +197,7 @@ def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
         (xz.den, {(a, b + 1): v for (a, b), v in xz.nums.items()}, xz.denom_exp + 1, False),
         (xz.den * m, {(a - 1, b): (-re, -im) for (a, b), (re, im) in xz.nums.items()}, xz.denom_exp, True),  # -X^z/m
     ]
-    return from_kernel(_banded_kernel(m, families), m)
+    return OperatorMatrix(m, _banded_kernel(m, families))
 
 
 # -- quadrature path --------------------------------------------------------
@@ -232,8 +221,9 @@ def _eval_on_grid(fn, z: np.ndarray) -> np.ndarray:
     return np.vectorize(lambda p: complex(fn(p)))(z)
 
 
-def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int) -> OperatorMatrix:
-    """Toeplitz assembly for a black-box point evaluator fn(z) -> complex.
+def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int) -> np.ndarray:
+    """The Toeplitz matrix, in the orthonormal basis, of a black-box point evaluator
+    fn(z) -> complex; it has no exact kernel.
 
     Gauss-Legendre in u = (t-1)/(t+1) times a uniform (trapezoid) rule in
     the phase; for symbol-algebra inputs with m + R < 2*n_radial the radial
@@ -266,7 +256,7 @@ def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int) -> OperatorMa
             raise QuadratureBudgetTooSmall(
                 f"Hermiticity defect {defect:.3e} at ({n_radial}, {n_angular}) nodes"
             )
-    return OperatorMatrix(m, entries)
+    return entries
 
 
 def gram_quadrature(m: int) -> np.ndarray:
@@ -294,7 +284,10 @@ def _as_array(x) -> np.ndarray:
 
 
 def operator_norm(x) -> float:
-    """Largest singular value; exactly 0.0, with no SVD, for a zero matrix."""
+    """Largest singular value; exactly 0.0, with no SVD, for a zero matrix, and with no
+    float matrix either for an operator whose kernel is empty."""
+    if isinstance(x, OperatorMatrix) and not x.kernel:
+        return 0.0
     arr = _as_array(x)
     return float(np.linalg.norm(arr, 2)) if arr.any() else 0.0
 
@@ -316,12 +309,9 @@ def commutator(x, y) -> np.ndarray:
 
 
 def adjoint(x):
-    """Hermitian adjoint.  An exact matrix's adjoint is exact, and its floats come from
-    its kernel alone, as for any other exact matrix; a quadrature matrix's floats are
-    conjugate-transposed."""
+    """Hermitian adjoint.  An operator's adjoint is exact, and its floats come from its
+    kernel alone, as for any other operator; an array is conjugate-transposed."""
     if isinstance(x, OperatorMatrix):
-        if x.kernel is None:
-            return OperatorMatrix(x.m, x.entries.conj().T.copy())
         # entry (k, j) is conj(entry (j, k)) * C(m, k) / C(m, j), over den times the lcm of the row binomials
         c, nums = _binomial_row(x.m), x.kernel.nums
         rows = lcm(*{c[j] for j, _ in nums})
@@ -329,25 +319,22 @@ def adjoint(x):
         for (j, k), (re, im) in nums.items():
             s = c[k] * (rows // c[j])
             scaled[k, j] = (re * s, -im * s)
-        return from_kernel(Kernel(x.kernel.den * rows, scaled), x.m)
+        return OperatorMatrix(x.m, Kernel(x.kernel.den * rows, scaled))
     return _as_array(x).conj().T
 
 
 # -- exact kernel arithmetic -------------------------------------------------
 
 
-def _require_kernels(*mats: OperatorMatrix) -> int:
+def _level(*mats: OperatorMatrix) -> int:
     m = mats[0].m
-    for mat in mats:
-        if mat.kernel is None:
-            raise ValueError(f"no exact kernel on a level-{mat.m} matrix")
-        if mat.m != m:
-            raise ShapeMismatch("levels differ")
+    if any(mat.m != m for mat in mats):
+        raise ShapeMismatch("levels differ")
     return m
 
 
 def compose_exact(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    m = _require_kernels(a, b)
+    m = _level(a, b)
     b_rows = defaultdict(list)
     for (l, k), v in b.kernel.nums.items():
         b_rows[l].append((k, v))
@@ -356,11 +343,11 @@ def compose_exact(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
         for k, (b_re, b_im) in b_rows[l]:
             re, im = acc.get((j, k), (0, 0))
             acc[j, k] = (re + a_re * b_re - a_im * b_im, im + a_re * b_im + a_im * b_re)
-    return from_kernel(Kernel(a.kernel.den * b.kernel.den, acc), m)
+    return OperatorMatrix(m, Kernel(a.kernel.den * b.kernel.den, acc))
 
 
 def lincomb_exact(terms: list[tuple[QC | Rational, OperatorMatrix]]) -> OperatorMatrix:
-    m = _require_kernels(*[mat for _, mat in terms])
+    m = _level(*[mat for _, mat in terms])
     parts = []  # (denominator of coeff * kernel, coefficient numerator, kernel numerators)
     for coeff, mat in terms:
         c_den, c = over_common_den({None: QC.coerce(coeff)})
@@ -372,17 +359,16 @@ def lincomb_exact(terms: list[tuple[QC | Rational, OperatorMatrix]]) -> Operator
         for key, (re, im) in nums.items():
             re0, im0 = acc.get(key, (0, 0))
             acc[key] = (re0 + c_re * re - c_im * im, im0 + c_re * im + c_im * re)
-    return from_kernel(Kernel(den, acc), m)
+    return OperatorMatrix(m, Kernel(den, acc))
 
 
 def trace_exact(a: OperatorMatrix) -> QC:
-    m = _require_kernels(a)
-    diag = [a.kernel.nums[j, j] for j in range(m + 1) if (j, j) in a.kernel.nums]
+    diag = [a.kernel.nums[j, j] for j in range(a.m + 1) if (j, j) in a.kernel.nums]
     return QC.of_ints(sum(re for re, _ in diag), sum(im for _, im in diag), a.kernel.den)
 
 
 def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    _require_kernels(a, b)
+    _level(a, b)
     return a.kernel == b.kernel
 
 
@@ -390,8 +376,8 @@ def equals_i_times_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     """Whether a = i b exactly, decided on the two kernels in place.  i b has b's
     denominator and numerators (-im, re), still in lowest terms, so a = i b iff the
     denominators agree and so does every numerator.  No product kernel and no float
-    matrix is built.  Raises like ``equal_exact`` on a missing kernel or unequal levels."""
-    _require_kernels(a, b)
+    matrix is built.  Raises like ``equal_exact`` on unequal levels."""
+    _level(a, b)
     na, nb = a.kernel.nums, b.kernel.nums
     return a.kernel.den == b.kernel.den and len(na) == len(nb) and all(
         na.get(key) == (-im, re) for key, (re, im) in nb.items()
@@ -399,4 +385,4 @@ def equals_i_times_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
 
 
 def identity_exact(m: int) -> OperatorMatrix:
-    return from_kernel(Kernel(1, {(j, j): (1, 0) for j in range(m + 1)}), m)
+    return OperatorMatrix(m, Kernel(1, {(j, j): (1, 0) for j in range(m + 1)}))

@@ -50,8 +50,7 @@ from .semiclassics import (
     spectral_moment,
     moment_limit,
     sweep,
-    tuynman_gap,
-    tuynman_operands,
+    tuynman_difference,
 )
 from .starproduct import FormalSeries, b_inverse, b_map, check_axioms, check_equivalence
 from .symbols import (
@@ -250,9 +249,8 @@ def _spectrum_verdict(cfg: ExperimentConfig, limits: dict, rows: dict) -> CheckO
 def _tuynman_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
     rows = {}
     for name, f in cfg.active_symbols():
-        # one operand pair for both the float row and the exact decision
-        q, rhs = tuynman_operands(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
-        rows[name] = (tuynman_gap(q, rhs), equals_i_times_exact(q, rhs))
+        diff = tuynman_difference(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
+        rows[name] = (operator_norm(diff), not diff.kernel)
     return rows
 
 

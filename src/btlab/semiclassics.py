@@ -20,6 +20,7 @@ from .exact import QC
 from .operators import (
     OperatorMatrix,
     commutator,
+    lincomb_exact,
     operator_norm,
     prequantum_geometric,
     toeplitz_exact,
@@ -123,21 +124,17 @@ def product_coefficients(f: CanonicalSymbol, g: CanonicalSymbol, order: int) -> 
     raise UnknownCoefficientOrder(f"no closed-form coefficients beyond order 2 (got {order})")
 
 
-def tuynman_operands(
+def tuynman_difference(
     f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequantum=prequantum_geometric
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(Q_f, T_{f - Delta f/(2m)}): Tuynman's identity says Q_f = i T_{f - Delta f/(2m)}."""
-    return prequantum(f, m), toeplitz(f - laplacian(f).scale(Fraction(1, 2 * m)), m)
-
-
-def tuynman_gap(q: OperatorMatrix, rhs: OperatorMatrix) -> float:
-    """|| q - i rhs || for the pair ``tuynman_operands`` gives."""
-    return operator_norm(q.entries - 1j * rhs.entries)
+) -> OperatorMatrix:
+    """Q_f - i T_{f - Delta f/(2m)}, exactly: Tuynman's identity says its kernel is empty."""
+    q = prequantum(f, m)
+    return lincomb_exact([(1, q), (QC(0, -1), toeplitz(f - laplacian(f).scale(Fraction(1, 2 * m)), m))])
 
 
 def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequantum=prequantum_geometric) -> float:
     """|| Q_f - i T_{f - Delta f/(2m)} ||; identically zero for this model."""
-    return tuynman_gap(*tuynman_operands(f, m, toeplitz, prequantum))
+    return operator_norm(tuynman_difference(f, m, toeplitz, prequantum))
 
 
 def spectral_moment(eigs: np.ndarray, k: int) -> float:

@@ -10,23 +10,23 @@ property tests.
 
 from fractions import Fraction
 from math import comb, sqrt
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
 from btlab.exact import QC, QC_I
 from btlab.hilbert import basis_norm_sq
-from btlab.operators import OperatorMatrix
 from btlab.symbols import CanonicalSymbol, ChartRational, hamiltonian_field
 
 
-def matrix_reference(kernel: dict, m: int) -> OperatorMatrix:
+def matrix_reference(kernel: dict, m: int) -> SimpleNamespace:
+    """A plain record (m, entries, kernel) of the kernel's nonzero entries and their float matrix."""
     frozen = MappingProxyType({key: v for key, v in kernel.items() if v})
     scale = [sqrt(float(basis_norm_sq(m, j))) for j in range(m + 1)]
     entries = np.zeros((m + 1, m + 1), dtype=complex)
     for (j, k), v in frozen.items():
         entries[j, k] = complex(v) * (scale[j] / scale[k])
-    return OperatorMatrix(m, entries, frozen)
+    return SimpleNamespace(m=m, entries=entries, kernel=frozen)
 
 
 def radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:
@@ -37,7 +37,7 @@ def radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:
     return Fraction((m + 1) * comb(m, j), (x + 1) * comb(x, s))
 
 
-def toeplitz_reference(f: ChartRational, m: int) -> OperatorMatrix:
+def toeplitz_reference(f: ChartRational, m: int) -> SimpleNamespace:
     if m < 0:
         raise ValueError("level m must be >= 0")
     kernel: dict[tuple[int, int], QC] = {}
@@ -65,7 +65,7 @@ def pairing_kernel_column(g: ChartRational, m: int) -> list[QC]:
     return col
 
 
-def prequantum_reference(f: CanonicalSymbol, m: int) -> OperatorMatrix:
+def prequantum_reference(f: CanonicalSymbol, m: int) -> SimpleNamespace:
     if m < 1:
         raise ValueError("level m must be >= 1")
     if not f.is_real:

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from btlab.cache import MatrixCache, symbol_hash
+from btlab.cache import MatrixCache, default_cache_root, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
-from btlab.operators import hermitian_eigenvalues, toeplitz_exact
+from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
 from btlab import runner, semiclassics
 from btlab.semiclassics import moment_limit, spectral_moment
@@ -116,6 +116,36 @@ def test_parse_rejects_bad_terms_line(tmp_path):
     bad = MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 0")
     with pytest.raises(ValidationError, match="6 fields"):
         parse_config(write_cfg(tmp_path, bad))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1 1 1 1 0 1", "1 1 x 1 0 1", "terms line 1: invalid literal"),
+        ("1 1 1 1 0 1", "1 1 1 0 0 1", "terms line 1: Fraction"),
+        ("1 1 1 1 0 1", "-1 1 1 1 0 1", "exponents must be >= 0"),
+        ("1 1 1 1 0 1", "1 1 1 1 0 1\n    1 1 1 2 0 1", r"line 2: duplicate monomial \(1, 1\)"),
+        ("[symbol height]", "[height]", r"unexpected section \[height\]"),
+        ("[symbol height]", "[symbol  ]", "symbol section needs a name"),
+        ("R = 1", "R = 1\ncolour = red", r"\[symbol height\]: unknown keys \['colour'\]"),
+        ("manifold = cp1", "manifold = cp1\ncolour = red", r"\[experiment\]: unknown keys \['colour'\]"),
+        ("R = 1", "R = one", "R: invalid literal"),
+        ("R = 1", "R = -1", "R must be >= 0"),
+        ("[experiment]", "[symbol unit]", r"missing \[experiment\] section"),
+        ("m_list = 2, 4, 8", "m_list = 2, four", "m_list: invalid literal"),
+        ("m_list = 2, 4, 8", "m_list =", "m_list must be nonempty"),
+        (MINIMAL[MINIMAL.index("[symbol") :], "", "no symbols defined"),
+    ],
+    ids=[
+        "terms-value", "terms-zero-den", "negative-exponent", "duplicate-monomial", "bad-section", "unnamed-symbol",
+        "symbol-key", "experiment-key", "R-value", "negative-R", "no-experiment", "m_list-value", "empty-m_list",
+        "no-symbols",
+    ],
+)
+def test_parse_rejects_a_malformed_config(tmp_path, old, new, message):
+    assert old in MINIMAL
+    with pytest.raises(ValidationError, match=message):
+        parse_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
 
 
 def test_parse_rejects_nonsmooth_symbol(tmp_path):
@@ -310,10 +340,11 @@ def test_cache_rejects_a_kernel_that_is_not_canonical(tmp_path, edit):
         cache.load(symbol_hash(f), "toeplitz", 4)
 
 
-def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog) -> None:
-    """The file at (f, toeplitz, m) is corrupt; the Assembler warns once, recomputes and overwrites it."""
+def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog, message: str) -> None:
+    """The file at (f, toeplitz, m) is corrupt, for ``message``; the Assembler warns once, recomputes and
+    overwrites it."""
     mat = toeplitz_exact(f, m)
-    with pytest.raises(CacheCorruption):
+    with pytest.raises(CacheCorruption, match=message):
         cache.load(symbol_hash(f), "toeplitz", m)
     asm = Assembler(cache)
     with caplog.at_level(logging.WARNING, logger="btlab"):
@@ -321,7 +352,7 @@ def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog) -
     assert asm.cache_corruptions == 1 and asm.assemblies == 1
     [record] = caplog.records
     assert record.name == "btlab" and record.levelno == logging.WARNING
-    assert "bad magic line" in record.getMessage() and record.getMessage().endswith("; recomputing")
+    assert message in record.getMessage() and record.getMessage().endswith("; recomputing")
     assert again.kernel == mat.kernel
     assert cache.load(symbol_hash(f), "toeplitz", m).kernel == mat.kernel
 
@@ -342,7 +373,7 @@ def test_assembler_recomputes_float_format_file(tmp_path, caplog):
     ]
     cache.root.mkdir(parents=True)
     cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
-    _assert_recomputed_with_one_warning(cache, f, 4, caplog)
+    _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
 
 
 def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
@@ -361,7 +392,31 @@ def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
     ]
     cache.root.mkdir(parents=True)
     cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
-    _assert_recomputed_with_one_warning(cache, f, 4, caplog)
+    _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
+
+
+def _duplicate_first_entry(lines: list[str]) -> None:
+    lines[5] = f"entries {int(lines[5].split()[1]) + 1}"
+    lines.insert(8, lines[7])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines.__setitem__(1, "kind prequantum"), "header kind mismatch"),
+        (lambda lines: lines.__setitem__(2, "m 5"), "header m mismatch"),
+        (lambda lines: lines.__setitem__(3, f"source {'0' * 64}"), "header source mismatch"),
+        (lambda lines: lines.__setitem__(6, lines[6].replace("den", "dem")), "no den line"),
+        (_duplicate_first_entry, "entry count mismatch"),
+    ],
+    ids=["kind", "level", "source", "den-tag", "duplicate-entry"],
+)
+def test_assembler_recomputes_a_file_that_fails_a_load_check(tmp_path, caplog, edit, message):
+    # each file is checksum-consistent, so only the load's own checks can reject it
+    f = sphere_height()
+    cache = MatrixCache(tmp_path / "cache")
+    _rewrite_with_checksum(cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz"), edit)
+    _assert_recomputed_with_one_warning(cache, f, 4, caplog, message)
 
 
 def test_assembler_counts_hits(tmp_path):
@@ -397,6 +452,30 @@ terms =
     assert code == 0 and report.status == "pass"
     table = report.checks["tuynman"].tables[0]
     assert all(v <= 1e-10 for _, v in table.records)
+
+
+def test_tuynman_sweep_runs_past_the_float_underflow(tmp_path):
+    # no float matrix is formed, so levels where 1/((m+1) C(m, j)) underflows (m >= 1071) run too
+    text = MINIMAL.replace("checks = norms", "checks = tuynman").replace("m_list = 2, 4, 8", "m_list = 1100, 2048")
+    args = ["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [*args, "--cache-root", str(tmp_path / "cache")])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "out" / "tables.csv").read_text().splitlines()
+    assert rows == ["check,m,value", "tuynman:height,1100,0", "tuynman:height,2048,0"]
+
+
+def test_a_tuynman_run_reads_no_float_matrix(tmp_path, monkeypatch):
+    # the row is the norm of the exact difference Q_f - i T_{f - Delta f/2m}, whose kernel is empty
+    def no_floats(mat):
+        raise AssertionError(f"float matrix of a level-{mat.m} operator read")
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(no_floats))  # forked workers inherit the patch
+    text = FULL.format(out=tmp_path / "out").replace(
+        "checks = norms, dirac, product, sass2, trace, spectrum, tuynman, staraxioms, equivalence", "checks = tuynman"
+    )
+    report, code = run_experiment(parse_config(write_cfg(tmp_path, text)), cache_root=tmp_path / "cache")
+    assert code == 0
+    assert [v for table in report.checks["tuynman"].tables for _, v in table.records] == [0.0] * 8
 
 
 def _counting(fn, log: Path):
@@ -439,6 +518,25 @@ terms =
     report, code = run_experiment(cfg, cache_root=tmp_path / "cache")
     assert code == 0
     assert report.checks["norms"].details["unit"]["exact_identity"] is True
+
+
+@pytest.mark.parametrize("excess, code", [(2e-9, 1), (0.5e-9, 0)])
+def test_norms_check_fails_when_a_norm_exceeds_the_sup(tmp_path, monkeypatch, excess, code):
+    # a norm above sup|f| by more than NORM_CONTRACTION_TOL = 1e-9 fails the check
+    norm = operator_norm(toeplitz_exact(sphere_height(), 8))
+    monkeypatch.setitem(runner._BASES, "norms", lambda cfg: {"height": norm - excess})
+    cfg = parse_config(write_cfg(tmp_path, MINIMAL))
+    report, got = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
+    assert got == code and report.checks["norms"].status == ("fail" if code else "pass")
+
+
+def test_a_pair_check_with_one_symbol_pairs_it_with_itself(tmp_path):
+    text = MINIMAL.replace("checks = norms", "checks = dirac, product")
+    cfg = parse_config(write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")))
+    report, _ = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
+    for name in ("dirac", "product"):
+        assert [table.name for table in report.checks[name].tables] == ["height-height"]
+        assert list(report.checks[name].details) == ["height-height"]
 
 
 def test_runs_are_byte_identical_and_cache_transparent(tmp_path):
@@ -737,6 +835,12 @@ def test_cli_assemble_reads_a_file_of_symbol_sections_only(tmp_path):
     assert "0.25+0.25j" in result.output
 
 
+def test_cli_assemble_rejects_a_name_the_config_does_not_define(tmp_path):
+    result = CliRunner().invoke(main, ["assemble", "ghost", "2", "--config", str(write_cfg(tmp_path, MINIMAL))])
+    assert result.exit_code == 2
+    assert "configuration error: symbol 'ghost' not defined in" in result.output
+
+
 def test_cli_assemble_rejects_a_malformed_terms_line(tmp_path):
     cfg_path = write_cfg(tmp_path, MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 0"))
     result = CliRunner().invoke(main, ["assemble", "height", "2", "--config", str(cfg_path)])
@@ -797,6 +901,24 @@ def test_full_report_is_strict_json(tmp_path):
     result = CliRunner().invoke(main, ["report", str(tmp_path / "out")])
     assert result.exit_code == 0
     assert f"{'xcoord-k1':20s} exact identity" in result.output
+
+
+def test_cli_report_needs_a_report_json(tmp_path):
+    result = CliRunner().invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"no report.json in {tmp_path}" in result.output
+
+
+def test_cache_dir_variable_sets_the_default_root(tmp_path, monkeypatch):
+    root = tmp_path / "env-cache"
+    monkeypatch.setenv("BTLAB_CACHE_DIR", str(root))
+    assert default_cache_root() == root
+    f = sphere_height()
+    MatrixCache().store(toeplitz_exact(f, 2), symbol_hash(f), "toeplitz")
+    result = CliRunner().invoke(main, ["cache", "clear"])
+    assert result.exit_code == 0
+    assert f"removed 1 cached matrices from {root}" in result.output
+    assert not list(root.glob("*.mat"))
 
 
 def test_cli_report_and_cache_clear(tmp_path):

@@ -19,11 +19,11 @@ from btlab.cache import MatrixCache
 from btlab.errors import NotSmoothAtInfinity
 from btlab.exact import QC, QC_I
 from btlab.operators import (
+    OperatorMatrix,
     adjoint,
     compose_exact,
     equal_exact,
     equals_i_times_exact,
-    from_kernel,
     lincomb_exact,
     prequantum_geometric,
     toeplitz_exact,
@@ -56,7 +56,7 @@ def test_exact_arithmetic_matches_floats(seed_f, seed_g, m, c, d):
     combo = lincomb_exact([(c, a), (d, b)])
     assert_close(combo.entries, float(c) * a.entries + float(d) * b.entries)
     star = adjoint(ab)
-    assert_close(from_kernel(star.kernel, m).entries, ab.entries.conj().T)
+    assert_close(OperatorMatrix(m, star.kernel).entries, ab.entries.conj().T)
     assert_close(np.array(complex(trace_exact(ab))), np.array(np.trace(ab.entries)))
 
 
@@ -114,7 +114,7 @@ def test_equal_kernels_give_equal_floats(seed_f, seed_g, real, m):
         cache.store(made[-1], "0" * 64, "toeplitz")
         made.append(cache.load("0" * 64, "toeplitz", m))
     for mat in made:
-        assert _same_bits(mat.entries, from_kernel(mat.kernel, m).entries)
+        assert _same_bits(mat.entries, OperatorMatrix(m, mat.kernel).entries)
     assert _same_bits(adjoint(a).entries, toeplitz_exact(f.conjugate(), m).entries)
 
 
