@@ -3,13 +3,13 @@
 Files are plain text: a header tagged with the format line
 ``btlab-matrix 3``, then a checksummed block holding the exact ``Kernel``:
 a line ``den d`` with its one positive denominator, then one line
-``j k re im`` of plain ints per nonzero entry, in lowest terms.  A load
-parses every value with ``int`` and rebuilds the matrix from that kernel
-exactly as a fresh assembly does, so a hit is the same matrix: an equal
-kernel and bit-equal floats.  Any header, checksum, count or index
-mismatch, a malformed value, a kernel not in lowest terms or holding an
-explicit zero entry, or a file in an older format raises CacheCorruption;
-callers recompute and overwrite.
+``j k re im`` of plain ints per nonzero entry, row by row, in lowest terms.
+A load parses every value with ``int``, puts it in its diagonal j - k as it
+goes and rebuilds the matrix from that kernel exactly as a fresh assembly
+does, so a hit is the same matrix: an equal kernel and bit-equal floats.
+Any header, checksum, count or index mismatch, a malformed value, a kernel
+not in lowest terms or holding an explicit zero entry, or a file in an older
+format raises CacheCorruption; callers recompute and overwrite.
 A store writes a temp file of its own and renames it into place, so
 processes that store one key at once leave one whole file.
 """
@@ -51,7 +51,7 @@ class MatrixCache:
 
     def store(self, mat: OperatorMatrix, source: str, kind: str) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
-        entries = (f"{j} {k} {re} {im}" for (j, k), (re, im) in sorted(mat.kernel.nums.items()))
+        entries = [f"{j} {k} {re} {im}" for j, k, re, im in mat.kernel.nonzeros()]
         block = "\n".join([f"den {mat.kernel.den}", *entries])
         checksum = hashlib.sha256(block.encode()).hexdigest()
         header = "\n".join(
@@ -61,7 +61,7 @@ class MatrixCache:
                 f"m {mat.m}",
                 f"source {source}",
                 f"checksum {checksum}",
-                f"entries {len(mat.kernel)}",
+                f"entries {len(entries)}",
             ]
         )
         path = self.path_for(source, kind, mat.m)
@@ -95,17 +95,11 @@ class MatrixCache:
             if tag != "den":
                 raise CacheCorruption(f"{path}: no den line")
             den = int(den)
-            nums = {}
-            for line in lines[7 : 7 + count]:
-                j, k, re, im = map(int, line.split())
-                if not (0 <= j <= m and 0 <= k <= m):
-                    raise CacheCorruption(f"{path}: index ({j}, {k}) out of range for level {m}")
-                nums[j, k] = (re, im)
-            if len(nums) != count:
-                raise CacheCorruption(f"{path}: entry count mismatch")
-            kernel = Kernel(den, nums)
-            if kernel.den != den or len(kernel) != count:
-                raise CacheCorruption(f"{path}: kernel not in lowest terms or holding a zero entry")
+            kernel = Kernel.of_entries(den, m, (map(int, line.split()) for line in lines[7 : 7 + count]))
+            if sum(sum(map(any, cells)) for cells in kernel) != count:  # the nonzero cells
+                raise CacheCorruption(f"{path}: entry count mismatch, from a missing, repeated or zero entry")
+            if kernel.den != den:
+                raise CacheCorruption(f"{path}: kernel not in lowest terms")
         except CacheCorruption:
             raise
         except Exception as exc:

@@ -7,7 +7,7 @@ Grammar (see README for a complete example)::
     manifold = cp1              # required; only cp1 is supported
     checks = norms, dirac       # required, nonempty subset of KNOWN_CHECKS
     m_list = 8, 16, 32, 64      # required, strictly increasing positive
-    symbols = height, bump      # optional active subset, defaults to all
+    symbols = height, bump      # optional active subset with no name twice, defaults to all
     seed = 7                    # optional, drives random draws in checks
     slope_window = 0.15         # optional slope tolerance
     identity_tol = 1e-10        # accepted for old configs, not read
@@ -208,6 +208,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError(f"unresolved symbol name(s) {missing}; defined: {sorted(symbols)}")
     if not active:
         raise ValidationError("no symbols defined; add at least one [symbol <name>] section")
+    repeated = sorted({n for n in active if active.count(n) > 1})
+    if repeated:  # each would write its rows and plot files twice
+        raise ValidationError(f"[experiment] symbols: duplicate symbol name(s) {repeated}")
 
     try:
         seed = int(exp.get("seed", "0"))

@@ -10,28 +10,25 @@ assembly has no kernel and gives plain arrays.
 For a numerator monomial z^a zbar^b over (1+t)^R paired between z^j and
 z^k, the angular integral enforces j = a + k - b and the radial integral is
 B(s+1, m+R+1-s) with s = a + k.  By that U(1) selection rule a symbol of
-exponent R has at most (2R+1)(m+1) nonzero kernel entries, so a kernel holds
-only its nonzero entries; an absent key is an exact zero.  A ``Kernel`` is
-held on Gaussian integers over one denominator, as a symbol is: one positive
-int ``den`` and a read-only map ``nums``: (j, k) -> (re, im) of ints, in
-lowest terms and with no zero entry, so equal operators have equal kernels.
+exponent R fills at most 2R+1 diagonals j - k = a - b, and a ``Kernel`` is
+stored that way: per diagonal, the (re, im) int pairs of its entries over one
+positive ``den``, in lowest terms, so equal operators have equal kernels.
 Assembly is banded and in closed form, with no symbolic product: each
 monomial z^a zbar^b fills its one diagonal, where an entry is
 (j+1)...(j+b) (m-j+1)...(m-j+R-b), a product of R small integers, over the
-one level denominator (m+2)...(m+R+1).  The exact operations (composition,
-linear combination, adjoint, trace, equality) add and multiply ints, and the
-float entries are taken from ``nums`` with one int/int division per part.
+one level denominator (m+2)...(m+R+1).  The exact operations work diagonal
+by diagonal on ints (a composition convolves diagonals, the adjoint sends d
+to -d, the trace sums diagonal 0), and the float entries are taken from the
+cells with one int/int division per part.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm, perm, sqrt
-from types import MappingProxyType
 
 import numpy as np
 
@@ -41,51 +38,62 @@ from .hilbert import basis_norm_sq
 from .symbols import CanonicalSymbol, hamiltonian_field
 
 
-class Kernel(Mapping):
-    """The exact matrix of an operator in the unnormalized monomial basis: the map
-    (j, k) -> (re + i*im)/den of its nonzero entries, with ``den`` one positive int
-    and ``nums`` a read-only map (j, k) -> (re, im) of ints.  Constructing one drops
-    zero entries and divides out the gcd of ``den`` and every part, so the pair is
-    unique.  As a ``Mapping`` its values read as ``QC``, one built per lookup."""
+@dataclass(frozen=True)
+class Kernel:
+    """The exact matrix of an operator in the unnormalized monomial basis, by diagonal:
+    ``diags`` holds one pair (d, cells) per nonzero diagonal d = j - k, in increasing
+    d, and cells[i] = (re, im) is the entry (re + i*im)/den at (i + max(d, 0), i + max(-d, 0)).
+    Construction, from such pairs or a map d -> cells, strips trailing zero cells (a
+    leading one fixes where its diagonal starts), drops empty diagonals and divides out
+    the gcd of the positive ``den`` and every part, so ``==`` and ``hash`` compare
+    operators.  Iterating a kernel yields each diagonal's cells, the entries it stores,
+    which is how ``bench/tracing.py`` counts kernel entries."""
 
-    __slots__ = ("den", "nums")
+    den: int
+    diags: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
-    def __init__(self, den: int, nums: Mapping[tuple[int, int], tuple[int, int]]):
+    def __post_init__(self):
+        den, diags = self.den, []
         if den <= 0:
             raise ValueError(f"kernel denominator must be positive, got {den}")
-        nums = {key: v for key, v in nums.items() if v[0] or v[1]}
-        g = gcd(den, *chain.from_iterable(nums.values()))
-        if g > 1:
-            den, nums = den // g, {key: (re // g, im // g) for key, (re, im) in nums.items()}
+        for d, cells in sorted(dict(self.diags).items()):
+            cells, n = tuple(map(tuple, cells)), len(cells)
+            while n and cells[n - 1] == (0, 0):
+                n -= 1
+            if n:
+                diags.append((d, cells[:n]))
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(cells for _, cells in diags)))
+        if g > 1:  # the cells are rebuilt only here
+            den, diags = den // g, [(d, tuple((re // g, im // g) for re, im in cells)) for d, cells in diags]
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "diags", tuple(diags))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Kernel values are immutable")
-
-    def __reduce__(self):
-        return Kernel, (self.den, dict(self.nums))
-
-    def __getitem__(self, key: tuple[int, int]) -> QC:
-        re, im = self.nums[key]
-        return QC.of_ints(re, im, self.den)
+    @classmethod
+    def of_entries(cls, den: int, m: int, entries) -> Kernel:
+        """The level-m kernel of the entries (j, k, re, im) over ``den``, each diagonal allocated once."""
+        diags = {}
+        for j, k, re, im in entries:
+            if not (0 <= j <= m and 0 <= k <= m):
+                raise ValueError(f"index ({j}, {k}) out of range for level {m}")
+            if j - k not in diags:
+                diags[j - k] = [(0, 0)] * (m + 1 - abs(j - k))
+            diags[j - k][min(j, k)] = (re, im)
+        return cls(den, diags)
 
     def __iter__(self):
-        return iter(self.nums)
+        return (cells for _, cells in self.diags)
 
-    def __len__(self) -> int:
-        return len(self.nums)
+    def nonzeros(self):
+        """(j, k, re, im) of every nonzero entry, row by row and by column within a row."""
+        entries = []
+        for d, cells in self.diags:
+            entries += [(j, j - d, re, im) for j, (re, im) in enumerate(cells, max(d, 0)) if re or im]
+        yield from sorted(entries)
 
-    def __eq__(self, other):
-        if isinstance(other, Kernel):
-            return self.den == other.den and self.nums == other.nums
-        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.den, frozenset(self.nums.items())))
-
-    def __repr__(self):
-        return f"Kernel({self.den}, {dict(self.nums)!r})"
+def _accumulator(m: int) -> defaultdict:
+    """Diagonal -> its m + 1 cells [re, im] of ints; the cells past its end stay zero, for ``Kernel`` to strip."""
+    return defaultdict(lambda: [[0, 0] for _ in range(m + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,19 +112,20 @@ class OperatorMatrix:
     def entries(self) -> np.ndarray:
         """The float entry at (j, k) is (re/den + i im/den) * scale[j]/scale[k] with
         scale[j] = sqrt(basis_norm_sq(m, j)); each re/den is an int/int true division
-        and so correctly rounded.  The entries go into the dense matrix in one scatter.
+        and so correctly rounded.  Each diagonal goes into the dense matrix in one scatter.
         """
-        m, den, nums, n = self.m, self.kernel.den, self.kernel.nums, len(self.kernel)
+        m, den = self.m, self.kernel.den
         scale = np.sqrt([1 / ((m + 1) * c) for c in _binomial_row(m)])
         if not scale.all():  # 1/((m+1) C(m, j)) underflows to 0.0 from m = 1071
             raise ZeroDivisionError(f"a basis norm underflows to 0.0 at level {m}")
-        j, k = np.fromiter(chain.from_iterable(nums), dtype=np.intp, count=2 * n).reshape(n, 2).T
-        parts = np.fromiter(chain.from_iterable(nums.values()), dtype=object, count=2 * n) / den  # Python int / int
-        re, im = parts.astype(float).reshape(n, 2).T
-        ratio = scale[j] / scale[k]
         entries = np.zeros((m + 1, m + 1), dtype=complex)
-        entries.real[j, k] = re * ratio
-        entries.imag[j, k] = im * ratio
+        for d, cells in self.kernel.diags:
+            j = np.arange(len(cells)) + max(d, 0)  # cell i is the entry (j[i], j[i] - d)
+            parts = np.fromiter(chain.from_iterable(cells), dtype=object, count=2 * len(cells)) / den  # int / int
+            re, im = parts.astype(float).reshape(-1, 2).T
+            ratio = scale[j] / scale[j - d]
+            entries.real[j, j - d] = re * ratio
+            entries.imag[j, j - d] = im * ratio
         entries.flags.writeable = False
         return entries
 
@@ -142,30 +151,31 @@ def _banded_kernel(m: int, families) -> Kernel:
     reciprocals' lcm when a b > r term occurs.
     """
     den = lcm(*(perm(m + r + 1, r) * c_den for c_den, _, r, _ in families))
-    acc: dict[tuple[int, int], tuple[int, int]] = {}  # (j, k) -> (re, im) over den
-    off = []  # the b > r terms: ((j, k), re, im, d), adding (re + i im) / (den * d)
+    acc = _accumulator(m)  # over den
+    off = []  # the b > r terms: (d, i, re, im, q), adding (re + i im) / (den * q) at cell i of diagonal d
     for c_den, nums, r, by_k in families:
         x, base = m + r, den // (perm(m + r + 1, r) * c_den)
         for (a, b), (c_re, c_im) in nums.items():
-            lo, hi = max(0, b - a), min(m, m + b - a)
+            d, lo, hi = a - b, max(0, b - a), min(m, m + b - a)
             if lo <= hi and a + hi > x:
                 raise ValueError(f"non-integrable pairing: s={max(a + lo, x + 1)} exceeds m+R={x}")
             c_re, c_im = c_re * base, c_im * base
+            cells = acc[d]
             for k in range(max(lo, 1) if by_k else lo, hi + 1):
-                j = a + k - b
+                j = k + d
                 n = perm(j + b, b) * (k if by_k else 1)
                 if b > r:
-                    off.append(((j, k), c_re * n, c_im * n, perm(m - j, b - r)))
+                    off.append((d, k - lo, c_re * n, c_im * n, perm(m - j, b - r)))
                     continue
                 n *= perm(m - j + r - b, r - b)
-                re0, im0 = acc.get((j, k), (0, 0))
-                acc[j, k] = (re0 + c_re * n, im0 + c_im * n)
+                cells[k - lo][0] += c_re * n
+                cells[k - lo][1] += c_im * n
     if off:
-        s = lcm(*(d for *_, d in off))
-        den, acc = den * s, {key: (re * s, im * s) for key, (re, im) in acc.items()}
-        for key, re, im, d in off:
-            re0, im0 = acc.get(key, (0, 0))
-            acc[key] = (re0 + re * (s // d), im0 + im * (s // d))
+        s = lcm(*(q for *_, q in off))
+        den, acc = den * s, {d: [[re * s, im * s] for re, im in cells] for d, cells in acc.items()}
+        for d, i, re, im, q in off:
+            acc[d][i][0] += re * (s // q)
+            acc[d][i][1] += im * (s // q)
     return Kernel(den, acc)
 
 
@@ -286,7 +296,7 @@ def _as_array(x) -> np.ndarray:
 def operator_norm(x) -> float:
     """Largest singular value; exactly 0.0, with no SVD, for a zero matrix, and with no
     float matrix either for an operator whose kernel is empty."""
-    if isinstance(x, OperatorMatrix) and not x.kernel:
+    if isinstance(x, OperatorMatrix) and not x.kernel.diags:
         return 0.0
     arr = _as_array(x)
     return float(np.linalg.norm(arr, 2)) if arr.any() else 0.0
@@ -312,14 +322,15 @@ def adjoint(x):
     """Hermitian adjoint.  An operator's adjoint is exact, and its floats come from its
     kernel alone, as for any other operator; an array is conjugate-transposed."""
     if isinstance(x, OperatorMatrix):
-        # entry (k, j) is conj(entry (j, k)) * C(m, k) / C(m, j), over den times the lcm of the row binomials
-        c, nums = _binomial_row(x.m), x.kernel.nums
-        rows = lcm(*{c[j] for j, _ in nums})
-        scaled = {}
-        for (j, k), (re, im) in nums.items():
-            s = c[k] * (rows // c[j])
-            scaled[k, j] = (re * s, -im * s)
-        return OperatorMatrix(x.m, Kernel(x.kernel.den * rows, scaled))
+        # entry (k, j) is conj(entry (j, k)) * C(m, k) / C(m, j), over den times the lcm of the row binomials,
+        # so cell i of diagonal d goes to cell i of diagonal -d
+        c, diags = _binomial_row(x.m), x.kernel.diags
+        rows = lcm(*{c[i + max(d, 0)] for d, cells in diags for i in range(len(cells))})
+        star = {}
+        for d, cells in diags:
+            scales = [c[i + max(-d, 0)] * (rows // c[i + max(d, 0)]) for i in range(len(cells))]
+            star[-d] = [(re * s, -im * s) for (re, im), s in zip(cells, scales)]
+        return OperatorMatrix(x.m, Kernel(x.kernel.den * rows, star))
     return _as_array(x).conj().T
 
 
@@ -334,36 +345,39 @@ def _level(*mats: OperatorMatrix) -> int:
 
 
 def compose_exact(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    m = _level(a, b)
-    b_rows = defaultdict(list)
-    for (l, k), v in b.kernel.nums.items():
-        b_rows[l].append((k, v))
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
-    for (j, l), (a_re, a_im) in a.kernel.nums.items():
-        for k, (b_re, b_im) in b_rows[l]:
-            re, im = acc.get((j, k), (0, 0))
-            acc[j, k] = (re + a_re * b_re - a_im * b_im, im + a_re * b_im + a_im * b_re)
+    """AB as a convolution of diagonals: diagonals da of A and db of B fill diagonal da + db."""
+    m, acc = _level(a, b), _accumulator(a.m)
+    for da, ca in a.kernel.diags:
+        for db, cb in b.kernel.diags:
+            # (l + da, l) is cell l - oa of ca, (l, l - db) cell l - ob of cb, (l + da, l - db) cell l + oc of da + db
+            oa, ob, oc = max(-da, 0), max(db, 0), min(da, -db)
+            lo, hi = max(oa, ob), min(len(ca) + oa, len(cb) + ob)
+            cells = zip(acc[da + db][lo + oc : hi + oc], ca[lo - oa : hi - oa], cb[lo - ob : hi - ob])
+            for cell, (a_re, a_im), (b_re, b_im) in cells:
+                cell[0] += a_re * b_re - a_im * b_im
+                cell[1] += a_re * b_im + a_im * b_re
     return OperatorMatrix(m, Kernel(a.kernel.den * b.kernel.den, acc))
 
 
 def lincomb_exact(terms: list[tuple[QC | Rational, OperatorMatrix]]) -> OperatorMatrix:
     m = _level(*[mat for _, mat in terms])
-    parts = []  # (denominator of coeff * kernel, coefficient numerator, kernel numerators)
+    parts = []  # (denominator of coeff * kernel, coefficient numerator, kernel diagonals)
     for coeff, mat in terms:
         c_den, c = over_common_den({None: QC.coerce(coeff)})
-        parts.append((c_den * mat.kernel.den, c[None], mat.kernel.nums))
+        parts.append((c_den * mat.kernel.den, c[None], mat.kernel.diags))
     den = lcm(*(d for d, _, _ in parts))
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
-    for d, (c_re, c_im), nums in parts:
-        c_re, c_im = c_re * (den // d), c_im * (den // d)
-        for key, (re, im) in nums.items():
-            re0, im0 = acc.get(key, (0, 0))
-            acc[key] = (re0 + c_re * re - c_im * im, im0 + c_re * im + c_im * re)
+    acc = _accumulator(m)
+    for scale, (c_re, c_im), diags in parts:
+        c_re, c_im = c_re * (den // scale), c_im * (den // scale)
+        for d, cells in diags:
+            for cell, (re, im) in zip(acc[d], cells):
+                cell[0] += c_re * re - c_im * im
+                cell[1] += c_re * im + c_im * re
     return OperatorMatrix(m, Kernel(den, acc))
 
 
 def trace_exact(a: OperatorMatrix) -> QC:
-    diag = [a.kernel.nums[j, j] for j in range(a.m + 1) if (j, j) in a.kernel.nums]
+    diag = dict(a.kernel.diags).get(0, ())
     return QC.of_ints(sum(re for re, _ in diag), sum(im for _, im in diag), a.kernel.den)
 
 
@@ -372,17 +386,5 @@ def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     return a.kernel == b.kernel
 
 
-def equals_i_times_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    """Whether a = i b exactly, decided on the two kernels in place.  i b has b's
-    denominator and numerators (-im, re), still in lowest terms, so a = i b iff the
-    denominators agree and so does every numerator.  No product kernel and no float
-    matrix is built.  Raises like ``equal_exact`` on unequal levels."""
-    _level(a, b)
-    na, nb = a.kernel.nums, b.kernel.nums
-    return a.kernel.den == b.kernel.den and len(na) == len(nb) and all(
-        na.get(key) == (-im, re) for key, (re, im) in nb.items()
-    )
-
-
 def identity_exact(m: int) -> OperatorMatrix:
-    return OperatorMatrix(m, Kernel(1, {(j, j): (1, 0) for j in range(m + 1)}))
+    return OperatorMatrix(m, Kernel(1, {0: [(1, 0)] * (m + 1)}))

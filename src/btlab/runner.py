@@ -35,9 +35,9 @@ from . import __version__
 from .cache import MatrixCache, symbol_hash
 from .config import ExperimentConfig
 from .errors import CacheCorruption
-from .exact import QC
+from .exact import QC, QC_I
 from .forkmap import fork_map
-from .operators import OperatorMatrix, equals_i_times_exact, hermitian_eigenvalues, operator_norm, trace_exact
+from .operators import OperatorMatrix, equal_exact, hermitian_eigenvalues, lincomb_exact, operator_norm, trace_exact
 from .operators import prequantum_geometric, toeplitz_exact
 from .report import CheckOutcome, RunReport, write_report
 from .semiclassics import (
@@ -250,7 +250,7 @@ def _tuynman_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
     rows = {}
     for name, f in cfg.active_symbols():
         diff = tuynman_difference(f, m, toeplitz=assembler.toeplitz, prequantum=assembler.prequantum)
-        rows[name] = (operator_norm(diff), not diff.kernel)
+        rows[name] = (operator_norm(diff), not diff.kernel.diags)
     return rows
 
 
@@ -344,7 +344,7 @@ def calibrate_laplacian_coeff() -> Fraction:
     q = prequantum_geometric(f, m)
     for c in (Fraction(1), Fraction(2), Fraction(4)):
         rhs = toeplitz_exact(f - laplacian(f).scale(c / 2 * Fraction(1, 2 * m)), m)
-        if equals_i_times_exact(q, rhs):
+        if equal_exact(q, lincomb_exact([(QC_I, rhs)])):
             return c
     raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
 

@@ -5,28 +5,40 @@ This is the straightforward construction that the banded assembly in
 column by column as a symbolic ``ChartRational`` product that is then
 paired with every z^j, and the float entries filled with one
 ``basis_norm_sq`` per index.  It is kept only as an oracle for the
-property tests.
+property tests.  ``values`` and ``kernel_of`` are the tests' one way to
+read a ``Kernel`` entry by entry and to write one.
 """
 
 from fractions import Fraction
 from math import comb, sqrt
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 import numpy as np
 
-from btlab.exact import QC, QC_I
+from btlab.exact import QC, QC_I, over_common_den
 from btlab.hilbert import basis_norm_sq
+from btlab.operators import Kernel
 from btlab.symbols import CanonicalSymbol, ChartRational, hamiltonian_field
 
 
+def values(kernel: Kernel) -> dict[tuple[int, int], QC]:
+    """The kernel's nonzero entries as a plain map (j, k) -> QC."""
+    return {(j, k): QC.of_ints(re, im, kernel.den) for j, k, re, im in kernel.nonzeros()}
+
+
+def kernel_of(entries: dict, m: int) -> Kernel:
+    """The level-m ``Kernel`` of a map (j, k) -> QC."""
+    den, nums = over_common_den(entries)
+    return Kernel.of_entries(den, m, ((j, k, re, im) for (j, k), (re, im) in nums.items()))
+
+
 def matrix_reference(kernel: dict, m: int) -> SimpleNamespace:
-    """A plain record (m, entries, kernel) of the kernel's nonzero entries and their float matrix."""
-    frozen = MappingProxyType({key: v for key, v in kernel.items() if v})
+    """A plain record (m, entries, kernel) of a map (j, k) -> QC: its float matrix and its ``Kernel``."""
     scale = [sqrt(float(basis_norm_sq(m, j))) for j in range(m + 1)]
     entries = np.zeros((m + 1, m + 1), dtype=complex)
-    for (j, k), v in frozen.items():
+    for (j, k), v in kernel.items():
         entries[j, k] = complex(v) * (scale[j] / scale[k])
-    return SimpleNamespace(m=m, entries=entries, kernel=frozen)
+    return SimpleNamespace(m=m, entries=entries, kernel=kernel_of(kernel, m))
 
 
 def radial_fraction(m: int, r: int, j: int, s: int) -> Fraction:

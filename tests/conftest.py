@@ -1,6 +1,7 @@
 import pytest
 
-from btlab.exact import QC
+from btlab.exact import QC, QC_I
+from btlab.operators import OperatorMatrix, equal_exact, lincomb_exact
 from btlab.symbols import (
     CanonicalSymbol,
     constant,
@@ -27,6 +28,11 @@ def one() -> CanonicalSymbol:
 
 def rand(seed: int, max_r: int = 2) -> CanonicalSymbol:
     return random_real_symbol(seed, max_r)
+
+
+def equals_i_times(a: OperatorMatrix, b: OperatorMatrix) -> bool:
+    """Whether a = i b exactly, decided as one exact equality."""
+    return equal_exact(a, lincomb_exact([(QC_I, b)]))
 
 
 def rand_complex(seed: int, max_r: int = 2) -> CanonicalSymbol:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from assembly_reference import values
 from btlab.cache import MatrixCache, default_cache_root, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
@@ -135,11 +136,12 @@ def test_parse_rejects_bad_terms_line(tmp_path):
         ("m_list = 2, 4, 8", "m_list = 2, four", "m_list: invalid literal"),
         ("m_list = 2, 4, 8", "m_list =", "m_list must be nonempty"),
         (MINIMAL[MINIMAL.index("[symbol") :], "", "no symbols defined"),
+        ("checks = norms", "checks = norms\nsymbols = height, height", r"duplicate symbol name\(s\) \['height'\]"),
     ],
     ids=[
         "terms-value", "terms-zero-den", "negative-exponent", "duplicate-monomial", "bad-section", "unnamed-symbol",
         "symbol-key", "experiment-key", "R-value", "negative-R", "no-experiment", "m_list-value", "empty-m_list",
-        "no-symbols",
+        "no-symbols", "duplicate-symbol",
     ],
 )
 def test_parse_rejects_a_malformed_config(tmp_path, old, new, message):
@@ -379,7 +381,7 @@ def test_assembler_recomputes_float_format_file(tmp_path, caplog):
 def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
     # format 2 wrote each part as a Fraction string, n or n/d, with no den line
     f = sphere_height()
-    kernel = toeplitz_exact(f, 4).kernel
+    kernel = values(toeplitz_exact(f, 4).kernel)
     cache = MatrixCache(tmp_path / "cache")
     block = "\n".join(f"{j} {k} {v.re} {v.im}" for (j, k), v in sorted(kernel.items()))
     header = [
@@ -747,6 +749,21 @@ def test_cli_run_exit_two_on_config_error(tmp_path):
     result = CliRunner().invoke(main, ["run", str(cfg_path)])
     assert result.exit_code == 2
     assert "configuration error" in result.output
+
+
+def test_cli_run_rejects_a_duplicate_symbol_name_and_keeps_one_of_each_check(tmp_path):
+    # a symbol named twice would write each of its rows and plot files twice; a check named twice runs once
+    checks = f"checks = norms, trace, norms\noutput = {tmp_path / 'out'}\nsymbols = height, height"
+    text, args = MINIMAL.replace("checks = norms", checks), ["--cache-root", str(tmp_path / "cache")]
+    result = CliRunner().invoke(main, ["run", str(write_cfg(tmp_path, text)), *args])
+    assert result.exit_code == 2
+    assert "configuration error: [experiment] symbols: duplicate symbol name(s) ['height']" in result.output
+    assert not (tmp_path / "out").exists()
+    text = text.replace("symbols = height, height", "symbols = height")
+    result = CliRunner().invoke(main, ["run", str(write_cfg(tmp_path, text)), *args])
+    assert result.exit_code == 0
+    rows = (tmp_path / "out" / "tables.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(set(rows)) == 6  # norms and trace at m = 2, 4, 8
 
 
 @pytest.mark.parametrize("check", ["norms", "dirac", "spectrum", "tuynman"])

@@ -1,8 +1,8 @@
 """The exact kernel on Gaussian integers over one denominator, against a plain-QC oracle.
 
-Every exact operation adds and multiplies the ints of ``Kernel.nums``; the oracle
-here does the same operation entry by entry on ``QC`` values read through the
-kernel's ``Mapping`` interface.  Every result must be the oracle's map and be
+Every exact operation adds and multiplies the ints of ``Kernel.diags``, diagonal
+by diagonal; the oracle here does the same operation entry by entry on ``QC``
+values read with ``values``.  Every result must be the oracle's kernel and be
 canonical, and the floats taken from a kernel must be bit-equal to the
 entry-by-entry reference conversion.
 """
@@ -16,22 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assembly_reference import matrix_reference
-from btlab.exact import QC, QC_I, over_common_den
+from assembly_reference import kernel_of, matrix_reference, values
+from btlab.exact import QC, QC_I
 from btlab.operators import (
     Kernel,
     OperatorMatrix,
     adjoint,
     compose_exact,
     equal_exact,
-    equals_i_times_exact,
     lincomb_exact,
     prequantum_geometric,
     toeplitz_exact,
     trace_exact,
 )
 from btlab.symbols import ChartRational, sphere_height
-from conftest import rand, rand_complex
+from conftest import equals_i_times, rand, rand_complex
 
 seeds = st.integers(min_value=0, max_value=10_000)
 levels = st.integers(min_value=0, max_value=16)
@@ -44,19 +43,16 @@ def _symbol(seed: int, real: bool):
     return rand(seed) if real else rand_complex(seed)
 
 
-def _values(kernel) -> dict:
-    """The kernel as a plain map (j, k) -> QC, read through its Mapping interface."""
-    return dict(kernel.items())
-
-
-def _oracle(values: dict) -> dict:
-    return {key: v for key, v in values.items() if v}
+def _oracle(entries: dict, m: int) -> Kernel:
+    return kernel_of({key: v for key, v in entries.items() if v}, m)
 
 
 def assert_canonical(kernel: Kernel) -> None:
     assert isinstance(kernel, Kernel) and kernel.den > 0
-    assert gcd(kernel.den, *(p for v in kernel.nums.values() for p in v)) == 1
-    assert all(re or im for re, im in kernel.nums.values())
+    assert gcd(kernel.den, *(p for cells in kernel for cell in cells for p in cell)) == 1
+    offsets = [d for d, _ in kernel.diags]
+    assert offsets == sorted(set(offsets))
+    assert all(cells and cells[-1] != (0, 0) for cells in kernel)
 
 
 @properties
@@ -64,13 +60,13 @@ def assert_canonical(kernel: Kernel) -> None:
 def test_compose_matches_the_oracle(seed_f, seed_g, real, m):
     a, b = toeplitz_exact(_symbol(seed_f, real), m), toeplitz_exact(_symbol(seed_g, real), m)
     got = compose_exact(a, b).kernel
-    va, vb = _values(a.kernel), _values(b.kernel)
+    va, vb = values(a.kernel), values(b.kernel)
     want: dict = {}
     for (j, l), x in va.items():
         for (l2, k), y in vb.items():
             if l == l2:
                 want[j, k] = want.get((j, k), QC(0)) + x * y
-    assert got == _oracle(want)
+    assert got == _oracle(want, m)
     assert_canonical(got)
 
 
@@ -79,10 +75,10 @@ def test_compose_matches_the_oracle(seed_f, seed_g, real, m):
 def test_lincomb_matches_the_oracle(seed_f, seed_g, real, m, c, d):
     a, b = toeplitz_exact(_symbol(seed_f, real), m), toeplitz_exact(_symbol(seed_g, real), m)
     got = lincomb_exact([(c, a), (d, b)]).kernel
-    want = {key: c * v for key, v in _values(a.kernel).items()}
-    for key, v in _values(b.kernel).items():
+    want = {key: c * v for key, v in values(a.kernel).items()}
+    for key, v in values(b.kernel).items():
         want[key] = want.get(key, QC(0)) + v * d
-    assert got == _oracle(want)
+    assert got == _oracle(want, m)
     assert_canonical(got)
 
 
@@ -90,31 +86,31 @@ def test_lincomb_matches_the_oracle(seed_f, seed_g, real, m, c, d):
 @given(seeds, seeds, st.booleans(), levels)
 def test_adjoint_and_trace_match_the_oracle(seed_f, seed_g, real, m):
     ab = compose_exact(toeplitz_exact(_symbol(seed_f, real), m), toeplitz_exact(_symbol(seed_g, real), m))
-    values = _values(ab.kernel)
+    entries = values(ab.kernel)
     star = adjoint(ab).kernel
-    want = {(k, j): v.conjugate() * Fraction(comb(m, k), comb(m, j)) for (j, k), v in values.items()}
-    assert star == _oracle(want)
+    want = {(k, j): v.conjugate() * Fraction(comb(m, k), comb(m, j)) for (j, k), v in entries.items()}
+    assert star == _oracle(want, m)
     assert_canonical(star)
-    assert trace_exact(ab) == sum((v for (j, k), v in values.items() if j == k), QC(0))
+    assert trace_exact(ab) == sum((v for (j, k), v in entries.items() if j == k), QC(0))
 
 
 @properties
 @given(seeds, seeds, st.booleans(), levels)
 def test_equality_predicates_match_the_oracle(seed_f, seed_g, real, m):
     a, b = toeplitz_exact(_symbol(seed_f, real), m), toeplitz_exact(_symbol(seed_g, real), m)
-    va, vb = _values(a.kernel), _values(b.kernel)
+    va, vb = values(a.kernel), values(b.kernel)
     assert equal_exact(a, b) == (va == vb)
-    assert equal_exact(a, OperatorMatrix(m, Kernel(*over_common_den(va))))
+    assert equal_exact(a, OperatorMatrix(m, kernel_of(va, m)))
     i_b = {key: QC_I * v for key, v in vb.items()}
-    assert equals_i_times_exact(a, b) == (va == i_b)
-    assert equals_i_times_exact(OperatorMatrix(m, Kernel(*over_common_den(i_b))), b)
+    assert equals_i_times(a, b) == (va == i_b)
+    assert equals_i_times(OperatorMatrix(m, kernel_of(i_b, m)), b)
     # the same numerators over another denominator: a/2 and i (-i a/2) differ from a unless a = 0
     assert equal_exact(a, lincomb_exact([(Fraction(1, 2), a)])) == (not va)
-    assert equals_i_times_exact(a, lincomb_exact([(QC(0, Fraction(-1, 2)), a)])) == (not va)
+    assert equals_i_times(a, lincomb_exact([(QC(0, Fraction(-1, 2)), a)])) == (not va)
 
 
-def _scaled(kernel: Kernel, factor: int) -> tuple[int, dict]:
-    return kernel.den * factor, {key: (re * factor, im * factor) for key, (re, im) in kernel.nums.items()}
+def _scaled(kernel: Kernel, factor: int) -> tuple[int, list]:
+    return kernel.den * factor, [(d, [(re * factor, im * factor) for re, im in cells]) for d, cells in kernel.diags]
 
 
 @properties
@@ -128,18 +124,35 @@ def test_assembly_gives_canonical_kernels(seed, real, m):
 
 
 def test_the_constructor_drops_zeros_and_rejects_a_non_positive_den():
-    assert Kernel(4, {(0, 0): (2, -6), (1, 1): (0, 0)}) == Kernel(2, {(0, 0): (1, -3)})
-    assert dict(Kernel(4, {(0, 0): (2, -6), (1, 1): (0, 0)}).nums) == {(0, 0): (1, -3)}
+    # a trailing zero cell, an empty diagonal and a common factor, from a map d -> cells and from pairs
+    want = Kernel(2, [(-1, [(0, 1)]), (0, [(1, -3)])])
+    for got in (
+        Kernel(4, {0: [(2, -6), (0, 0)], 2: [(0, 0)], -1: [(0, 2), (0, 0), (0, 0)]}),
+        Kernel(4, [(-1, [(0, 2)]), (0, [(2, -6)]), (3, [])]),
+    ):
+        assert got == want and hash(got) == hash(want)
+        assert got.diags == ((-1, ((0, 1),)), (0, ((1, -3),)))
+    # the layout: entry (j, k) is cell min(j, k) of diagonal j - k, both ways
+    assert list(want.nonzeros()) == [(0, 0, 1, -3), (0, 1, 0, 1)]
+    assert Kernel.of_entries(4, 3, [(0, 1, 0, 2), (0, 0, 2, -6)]) == want
+    with pytest.raises(ValueError, match="out of range"):
+        Kernel.of_entries(1, 3, [(0, -1, 1, 0)])
+    # a leading zero cell stays: the by_k family of Q_f skips k = 0, so diagonal 1 starts at (1, 0) with a zero
+    lead = Kernel(1, {1: [(0, 0), (5, 0)]})
+    assert lead.diags == ((1, ((0, 0), (5, 0))),) and lead != Kernel(1, {1: [(5, 0)]})
+    assert list(lead.nonzeros()) == [(2, 1, 5, 0)]  # the zero cell at (1, 0) is no entry
+    # iterating yields each diagonal's cells, the stored entries a counter of kernel entries reads
+    assert list(lead) == [((0, 0), (5, 0))] and [len(cells) for cells in want] == [1, 1]
     for den in (0, -2):
         with pytest.raises(ValueError, match="positive"):
-            Kernel(den, {(0, 0): (1, 0)})
+            Kernel(den, {0: [(1, 0)]})
 
 
 @pytest.mark.parametrize("m", [1, 2, 17, 256, 1024])
 def test_floats_are_bit_equal_to_the_reference_conversion(m):
     mats = [toeplitz_exact(f, m) for f in (sphere_height(), rand(3), rand_complex(4))]
     for mat in mats + [prequantum_geometric(rand(3), m)]:
-        want = matrix_reference(_values(mat.kernel), m)
+        want = matrix_reference(values(mat.kernel), m)
         assert mat.entries.tobytes() == want.entries.tobytes()
 
 

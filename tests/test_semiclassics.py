@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from assembly_reference import values
 from btlab.errors import DegenerateTable, UnknownCoefficientOrder
 from btlab.exact import QC
 from btlab.operators import compose_exact, hermitian_eigenvalues, lincomb_exact, toeplitz_exact, trace_exact
@@ -96,11 +97,12 @@ def test_sass_remainder_spot_value_exact(height):
     t = toeplitz_exact(height, m)
     rem = lincomb_exact([(QC(1), compose_exact(t, t)), (QC(-1), toeplitz_exact(height * height, m))])
     want = [QC(Fraction(-(j + 1) * (m + 1 - j), (m + 2) ** 2 * (m + 3))) for j in range(m + 1)]
+    rem_values = values(rem.kernel)
     for j in range(m + 1):
-        assert rem.kernel.get((j, j), QC(0)) == want[j]
+        assert rem_values.get((j, j), QC(0)) == want[j]
         for k in range(m + 1):
             if j != k:
-                assert rem.kernel.get((j, k), QC(0)) == QC(0)
+                assert rem_values.get((j, k), QC(0)) == QC(0)
     assert [w.re for w in want] == [Fraction(-3, 80), Fraction(-1, 20), Fraction(-3, 80)]
     assert sass_remainder(height, height, [height * height], m) == pytest.approx(1 / 20, abs=1e-15)
 
