@@ -20,6 +20,21 @@ one level denominator (m+2)...(m+R+1).  The exact operations work diagonal
 by diagonal on ints (a composition convolves diagonals, the adjoint sends d
 to -d, the trace sums diagonal 0), and the float entries are taken from the
 cells with one int/int division per part.
+
+The float linear algebra lives here, and some of it takes a band route that
+gives the bits of the dense LAPACK or BLAS call, so no caller needs to know.
+A real diagonal operator (``height``) has its norm max |a_jj| and its sorted
+diagonal as spectrum, with no dense matrix: zgesdd's and zhetrd's
+Householder steps are identities on it, and dlasq1 and dsterf then take
+absolute values and sort.  A product with it scales rows or columns, since
+each zgemm sum has one nonzero term; every product, by either way, then
+makes its exact zeros +0.0, whose sign the zgemm leaves to its kernel.  A
+tridiagonal operator (``bump``) whose off-diagonal entries of (A + A*)/2
+are each real or imaginary has its spectrum from the real eigensolver:
+zhetrd's steps on it are exact, and zheevd and dsyevd both end in dsterf.
+The norm and spectrum routes apply only where LAPACK does not scale its
+input first.  Every other SVD, eigensolve and product calls LAPACK or BLAS
+as before.
 """
 
 from __future__ import annotations
@@ -121,13 +136,29 @@ class OperatorMatrix:
         entries = np.zeros((m + 1, m + 1), dtype=complex)
         for d, cells in self.kernel.diags:
             j = np.arange(len(cells)) + max(d, 0)  # cell i is the entry (j[i], j[i] - d)
-            parts = np.fromiter(chain.from_iterable(cells), dtype=object, count=2 * len(cells)) / den  # int / int
-            re, im = parts.astype(float).reshape(-1, 2).T
+            re, im = _cell_floats(cells, den)
             ratio = scale[j] / scale[j - d]
             entries.real[j, j - d] = re * ratio
             entries.imag[j, j - d] = im * ratio
         entries.flags.writeable = False
         return entries
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The float diagonal, complex, read-only: entry (j, j) of ``entries``, whose ratio
+        scale[j]/scale[j] is 1.0, so it is re/den + i im/den and needs no basis norm and no
+        dense matrix.  Its sum pairs the terms as ``np.trace(entries)`` does."""
+        diagonal = np.zeros(self.m + 1, dtype=complex)
+        cells = dict(self.kernel.diags).get(0, ())
+        diagonal.real[: len(cells)], diagonal.imag[: len(cells)] = _cell_floats(cells, self.kernel.den)
+        diagonal.flags.writeable = False
+        return diagonal
+
+
+def _cell_floats(cells, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """re/den and im/den of each cell, each an int/int true division and so correctly rounded."""
+    parts = np.fromiter(chain.from_iterable(cells), dtype=object, count=2 * len(cells)) / den
+    return parts.astype(float).reshape(-1, 2).T
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -293,29 +324,96 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
+def _shape(x) -> tuple[int, ...]:
+    return (x.m + 1, x.m + 1) if isinstance(x, OperatorMatrix) else np.shape(x)
+
+
+# zgesdd, and so numpy's 2-norm, scales a matrix whose largest entry |a| is not in [sqrt(safe min)/eps, its
+# reciprocal] = [2^-459, 2^459] before it starts, which moves the last bits; zheevd's range is wider.  A band route
+# that stands for one of them is taken only inside this range.
+_UNSCALED = (2.0**-459, 2.0**459)
+
+
+def _unscaled(values: np.ndarray) -> bool:
+    top = float(np.max(np.abs(values), initial=0.0))
+    return top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1]
+
+
+def _real_diagonal(x) -> np.ndarray | None:
+    """The float diagonal of an operator whose kernel lies on diagonal 0 alone and whose diagonal floats are
+    real (``height``, or any real U(1)-invariant symbol), else None."""
+    if isinstance(x, OperatorMatrix) and all(d == 0 for d, _ in x.kernel.diags) and not x.diagonal.imag.any():
+        return x.diagonal.real
+    return None
+
+
+def _tridiagonal(x) -> bool:
+    """Whether x is an operator whose kernel lies on diagonals -1, 0 and 1, as ``bump``'s does."""
+    return isinstance(x, OperatorMatrix) and all(abs(d) <= 1 for d, _ in x.kernel.diags)
+
+
 def operator_norm(x) -> float:
-    """Largest singular value; exactly 0.0, with no SVD, for a zero matrix, and with no
-    float matrix either for an operator whose kernel is empty."""
-    if isinstance(x, OperatorMatrix) and not x.kernel.diags:
-        return 0.0
+    """Largest singular value; exactly 0.0, with no SVD, for a zero matrix.  A real diagonal operator, or an
+    empty kernel, gives max |a_jj| with no SVD and no dense matrix."""
+    d = _real_diagonal(x)
+    if d is not None and _unscaled(d):
+        return float(np.max(np.abs(d)))
     arr = _as_array(x)
     return float(np.linalg.norm(arr, 2)) if arr.any() else 0.0
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending; a defect |A - A*| above 1e-9 relative raises."""
+    """Eigenvalues of (A + A*)/2 for a Hermitian A, ascending; a defect |A - A*| above 1e-9 relative raises.
+
+    A real diagonal operator gives its sorted diagonal.  A tridiagonal operator's defect is read on its three
+    diagonals and their mirrors, since it is 0.0 - 0.0 elsewhere, and it goes to the real eigensolver when each
+    subdiagonal entry of (A + A*)/2 is real or imaginary: dsterf reads that entry only squared or in absolute value.
+    """
+    d = _real_diagonal(x)
+    if d is not None and _unscaled(d):
+        return np.sort(d)
     arr = _as_array(x)
-    defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if defect > 1e-9 * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0):
+    band = _tridiagonal(x)
+    parts = [np.diagonal(arr, k) for k in (0, -1, 1)] if band else [arr]
+    mirrors = [np.diagonal(arr, -k).conj() for k in (0, -1, 1)] if band else [arr.conj().T]
+    defect = max(float(np.max(np.abs(p - q), initial=0.0)) for p, q in zip(parts, mirrors))
+    if defect > 1e-9 * max(1.0, *(float(np.max(np.abs(p), initial=0.0)) for p in parts)):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    if band:
+        diag, sub = ((p + q) / 2.0 for p, q in zip(parts[:2], mirrors[:2]))  # the lower triangle of (A + A*)/2
+        if ((sub.real == 0) | (sub.imag == 0)).all() and _unscaled(np.concatenate([diag.real, sub])):
+            real, i = np.diag(diag.real), np.arange(len(sub))
+            real[i + 1, i] = real[i, i + 1] = sub.real + sub.imag
+            return np.linalg.eigvalsh(real)
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
 
 
+def matmul(x, y) -> np.ndarray:
+    """The float product xy, with +0.0 for each exact zero.
+
+    A real diagonal factor scales the other operator's rows or columns, with no dense matrix of its own.  The zgemm
+    leaves the sign of an exact zero to its kernel, and that sign can move the last bit of a later SVD, so both
+    ways end by adding +0.0, which turns -0.0 into +0.0 and leaves every other entry as it is."""
+    if isinstance(x, OperatorMatrix) and isinstance(y, OperatorMatrix) and x.m == y.m:
+        d, e = _real_diagonal(x), _real_diagonal(y)
+        if d is not None and e is not None:
+            product = np.diag((d * e).astype(complex))
+        elif d is not None:
+            product = d[:, None] * y.entries
+        elif e is not None:
+            product = x.entries * e
+        else:
+            product = x.entries @ y.entries
+    else:
+        product = _as_array(x) @ _as_array(y)
+    product += 0.0
+    return product
+
+
 def commutator(x, y) -> np.ndarray:
-    a, b = _as_array(x), _as_array(y)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"commutator of shapes {a.shape} and {b.shape}")
-    return a @ b - b @ a
+    if _shape(x) != _shape(y):
+        raise ShapeMismatch(f"commutator of shapes {_shape(x)} and {_shape(y)}")
+    return matmul(x, y) - matmul(y, x)
 
 
 def adjoint(x):

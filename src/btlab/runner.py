@@ -196,7 +196,7 @@ def _trace_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
     rows = {}
     for name, f in cfg.active_symbols():
         t = assembler.toeplitz(f, m)
-        rows[name] = (float(np.trace(t.entries).real), trace_exact(t) == QC(m + 1) * average(f))
+        rows[name] = (float(t.diagonal.sum().real), trace_exact(t) == QC(m + 1) * average(f))
     return rows
 
 

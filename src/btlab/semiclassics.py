@@ -21,6 +21,7 @@ from .operators import (
     OperatorMatrix,
     commutator,
     lincomb_exact,
+    matmul,
     operator_norm,
     prequantum_geometric,
     toeplitz_exact,
@@ -109,7 +110,7 @@ def sass_remainder(
     n = len(coeffs)
     if n > 2:
         raise UnknownCoefficientOrder(f"remainder order {n} needs unavailable coefficients")
-    acc = toeplitz(f, m).entries @ toeplitz(g, m).entries
+    acc = matmul(toeplitz(f, m), toeplitz(g, m))
     for j, cj in enumerate(coeffs):
         acc = acc - float(m) ** (-j) * toeplitz(cj, m).entries
     return operator_norm(acc)

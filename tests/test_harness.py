@@ -25,7 +25,7 @@ from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
 from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
-from btlab import runner, semiclassics
+from btlab import operators, runner, semiclassics
 from btlab.semiclassics import moment_limit, spectral_moment
 from btlab.symbols import sphere_height
 
@@ -42,6 +42,16 @@ terms =
 """
 
 NON_REAL = MINIMAL.replace("1 1 1 1 0 1", "1 1 1 1 1 1")  # (1+i) t/(1+t) under checks = norms
+
+BUMP = MINIMAL.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8\nsymbols = bump") + """
+[symbol bump]
+R = 2
+terms =
+    0 0 1 2 0 1
+    1 1 -1 3 0 1
+    2 1 0 1 1 4
+    1 2 0 1 -1 4
+"""
 
 FULL = """
 [experiment]
@@ -572,7 +582,7 @@ def test_checks_share_one_memo(tmp_path):
 
 def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
     calls = tmp_path / "calls"
-    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, calls))
+    monkeypatch.setattr(runner, "hermitian_eigenvalues", _counting(hermitian_eigenvalues, calls))
     text = MINIMAL.replace("checks = norms", "checks = spectrum").replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")
     cfg = parse_config(write_cfg(tmp_path, text))
     cfg.output = tmp_path / "out"
@@ -585,6 +595,66 @@ def test_spectrum_runs_one_eigensolve_per_level(tmp_path, monkeypatch):
     for k, table in zip((1, 2, 3), report.checks["spectrum"].tables):
         limit = float(moment_limit(f, k).re)
         assert table.records == [(m, abs(spectral_moment(spectra[m], k) - limit)) for m in (2, 4, 8, 16)]
+
+
+def test_tridiagonal_spectrum_runs_one_real_eigensolve_per_level(tmp_path, monkeypatch):
+    # T_bump is tridiagonal with imaginary off-diagonal entries: its spectrum comes from the real eigensolver
+    dtypes = tmp_path / "dtypes"
+    eigvalsh = np.linalg.eigvalsh
+
+    def logging_eigvalsh(a, *args, **kwargs):
+        with open(dtypes, "a") as out:
+            out.write(a.dtype.char)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", logging_eigvalsh)
+    text = BUMP.replace("checks = norms", "checks = spectrum").replace("m_list = 2, 4, 8", "m_list = 16, 32, 64, 128")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    _, code = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
+    assert code == 0
+    assert dtypes.read_text() == "dddd"  # one float64 eigvalsh per level
+
+
+def test_band_routes_write_the_dense_bytes(tmp_path, monkeypatch):
+    text = BUMP.replace("checks = norms", "checks = norms, dirac, product, sass2, trace, spectrum")
+    text = text.replace("m_list = 2, 4, 8", "m_list = 16, 32, 64, 128")
+    text = text.replace("symbols = bump", "symbols = height, bump")
+    cfg_path = write_cfg(tmp_path, text)
+
+    def run_files(name: str) -> dict:
+        out = tmp_path / name
+        _, code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / f"cache-{name}", out=out)
+        assert code == 0
+        return {path.relative_to(out): path.read_bytes() for path in [out / "tables.csv", *out.glob("plots/*")]}
+
+    with monkeypatch.context() as refused:  # every float operation takes the dense LAPACK or BLAS call
+        refused.setattr(operators, "_real_diagonal", lambda x: None)
+        refused.setattr(operators, "_tridiagonal", lambda x: False)
+        dense = run_files("dense")
+    entries = OperatorMatrix.entries.func
+
+    def no_diagonal_floats(mat):
+        assert any(d for d, _ in mat.kernel.diags), f"dense float matrix of a diagonal level-{mat.m} operator"
+        return entries(mat)
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(no_diagonal_floats))  # forked workers inherit the patch
+    assert run_files("banded") == dense
+
+
+def test_diagonal_operators_run_past_the_float_underflow(tmp_path):
+    # a real diagonal operator's norm, spectrum and trace read no basis norm, which underflows from m = 1071
+    def cli_run(text: str):
+        args = ["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]
+        return CliRunner().invoke(main, [*args, "--cache-root", str(tmp_path / "cache")])
+
+    height = MINIMAL.replace("checks = norms", "checks = norms, spectrum, trace")
+    result = cli_run(height.replace("m_list = 2, 4, 8", "m_list = 16, 32, 64, 1100"))
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "out" / "tables.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows].count("1100") == 5  # norms, three moments and trace
+    result = cli_run(BUMP.replace("m_list = 2, 4, 8", "m_list = 16, 32, 64, 1100"))
+    assert result.exit_code == 3
+    assert "internal error: a basis norm underflows to 0.0 at level 1100" in result.output
 
 
 def _usable_cpus(monkeypatch, n: int) -> None:

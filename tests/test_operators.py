@@ -21,13 +21,14 @@ from btlab.operators import (
     hermitian_eigenvalues,
     identity_exact,
     lincomb_exact,
+    matmul,
     operator_norm,
     prequantum_geometric,
     toeplitz_exact,
     toeplitz_quadrature,
     trace_exact,
 )
-from btlab.symbols import average, laplacian, sup_norm
+from btlab.symbols import average, laplacian, sup_norm, symbol
 from conftest import equals_i_times, rand, rand_complex
 
 
@@ -253,6 +254,36 @@ def test_eigenvalues_sorted_and_hermiticity_guard():
     assert list(eigs) == sorted(eigs)
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_band_routes_take_the_dense_call_where_they_cannot_match_it(monkeypatch):
+    calls = []
+
+    def recording(name):
+        fn = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, a.dtype))
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    for name in ("norm", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    m = 6
+    complex_diagonal = toeplitz_exact(symbol({(1, 1): QC(1, 1)}, 1), m)
+    both_parts = toeplitz_exact(symbol({(0, 0): QC(1), (1, 0): QC(1, 1), (0, 1): QC(1, -1)}, 1), m)
+    pentadiagonal = toeplitz_exact(symbol({(0, 0): QC(1), (2, 0): QC(1), (0, 2): QC(1)}, 2), m)
+    plain = np.diag([3.0, -1.0, 2.0]).astype(complex)
+    assert {d for d, _ in pentadiagonal.kernel.diags} == {-2, 0, 2}
+    operator_norm(complex_diagonal)
+    matmul(complex_diagonal, pentadiagonal)  # a product with it is the dense one
+    assert "entries" in vars(complex_diagonal)
+    hermitian_eigenvalues(both_parts)
+    hermitian_eigenvalues(pentadiagonal)
+    operator_norm(plain)
+    hermitian_eigenvalues(plain)
+    assert calls == [(name, np.dtype(complex)) for name in ("norm", "eigvalsh", "eigvalsh", "norm", "eigvalsh")]
 
 
 def test_exact_operators_live_past_the_float_underflow():

@@ -3,12 +3,14 @@ equal kernels giving bit-equal floats, the banded assembly against the entry-by-
 as an exact round trip, the uniqueness of the canonical form, the
 Leibniz and Jacobi identities of the Poisson bracket, Tuynman's identity
 (through a product kernel and through the i-times helper), the hash/eq contract of
-QC, and the inverse of the equivalence b, over random symbols and levels."""
+QC, the inverse of the equivalence b, and the band routes of the float linear algebra
+against the dense LAPACK and BLAS calls, over random symbols and levels."""
 
 import tempfile
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,13 +25,16 @@ from btlab.operators import (
     adjoint,
     compose_exact,
     equal_exact,
+    hermitian_eigenvalues,
     lincomb_exact,
+    matmul,
+    operator_norm,
     prequantum_geometric,
     toeplitz_exact,
     trace_exact,
 )
 from btlab.starproduct import FormalSeries, b_inverse, b_map
-from btlab.symbols import ChartRational, laplacian, poisson_bracket, reduce
+from btlab.symbols import CanonicalSymbol, ChartRational, laplacian, poisson_bracket, reduce, symbol
 from conftest import equals_i_times, rand, rand_complex
 
 REL_TOL = 1e-12
@@ -231,3 +236,58 @@ def test_tuynman_identity_is_decided_in_place(seed, m):
 def test_b_inverse_undoes_b(coeff_seeds):
     series = FormalSeries(tuple(rand_complex(seed) for seed in coeff_seeds))
     assert b_inverse(b_map(series)) == series
+
+
+# -- band routes ---------------------------------------------------------------------
+
+band_levels = st.integers(min_value=0, max_value=80)  # past 32, where zhetrd and zgebrd switch to blocked steps
+
+
+@st.composite
+def diagonal_symbols(draw) -> CanonicalSymbol:
+    """A real U(1)-invariant symbol, sum_a c_a t^a / (1+t)^R with real c_a: its operators are real and diagonal."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    return symbol({(a, a): QC(draw(coeffs)) for a in range(r + 1)}, r)
+
+
+@st.composite
+def tridiagonal_symbols(draw) -> CanonicalSymbol:
+    """A real symbol whose terms z^a zbar^b have |a - b| <= 1 and whose off-diagonal coefficients are all real or
+    all imaginary (bump's are imaginary): its operators are tridiagonal, each off-diagonal entry on one axis."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    axis = QC(0, 1) if draw(st.booleans()) else QC(1)
+    terms = {(a, a): QC(draw(coeffs)) for a in range(r + 1)}
+    for a in range(r):
+        terms[a + 1, a] = axis * QC(draw(coeffs))
+        terms[a, a + 1] = terms[a + 1, a].conjugate()
+    return symbol(terms, r)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+@properties
+@given(diagonal_symbols(), tridiagonal_symbols(), band_levels)
+def test_diagonal_routes_give_the_dense_bits(f, g, m):
+    t, u = toeplitz_exact(f, m), toeplitz_exact(g, m)
+    dense = OperatorMatrix(m, t.kernel).entries  # the same operator's float matrix, read on a copy
+    assert operator_norm(t) == float(np.linalg.norm(dense, 2))
+    assert _bits(hermitian_eigenvalues(t)) == _bits(np.linalg.eigvalsh((dense + dense.conj().T) / 2.0))
+    assert np.array_equal(matmul(t, u), dense @ u.entries) and np.array_equal(matmul(u, t), u.entries @ dense)
+    assert _bits(matmul(t, u)) == _bits(dense @ u.entries + 0.0)  # every exact zero is +0.0 on both ways
+    assert _bits(matmul(u, t)) == _bits(u.entries @ dense + 0.0)
+    assert _bits(t.diagonal.sum()) == _bits(np.trace(dense))
+    assert "entries" not in vars(t)  # no dense matrix, so no LAPACK or BLAS call on it either
+
+
+@properties
+@given(tridiagonal_symbols(), band_levels)
+def test_tridiagonal_spectrum_gives_the_dense_bits_from_the_real_eigensolver(g, m):
+    u = toeplitz_exact(g, m)
+    want = np.linalg.eigvalsh((u.entries + u.entries.conj().T) / 2.0)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        got = hermitian_eigenvalues(u)
+    assert _bits(got) == _bits(want)
+    diagonal = all(d == 0 for d, _ in u.kernel.diags)  # every off-diagonal coefficient drawn was 0
+    assert [call.args[0].dtype for call in eigvalsh.call_args_list] == ([] if diagonal else [np.float64])
