@@ -16,10 +16,16 @@ positive ``den``, in lowest terms, so equal operators have equal kernels.
 Assembly is banded and in closed form, with no symbolic product: each
 monomial z^a zbar^b fills its one diagonal, where an entry is
 (j+1)...(j+b) (m-j+1)...(m-j+R-b), a product of R small integers, over the
-one level denominator (m+2)...(m+R+1).  The exact operations work diagonal
-by diagonal on ints (a composition convolves diagonals, the adjoint sends d
-to -d, the trace sums diagonal 0), and the float entries are taken from the
-cells with one int/int division per part.
+one level denominator (m+2)...(m+R+1).  Along a diagonal the entries of
+T_f and Q_f are a polynomial of degree at most R in the cell index, so each
+term is evaluated on the first cells of its diagonal only and the diagonal
+is extended from its Newton column: the first entry of each row of the
+forward-difference table, at most R + 1 ints per part.  ``newton_column``
+and ``newton_cells`` go between a part's cells and its column, exactly for
+any cells; the disk cache stores kernels that way.  The exact operations
+work diagonal by diagonal on ints (a composition convolves diagonals, the
+adjoint sends d to -d, the trace sums diagonal 0), and the float entries
+are taken from the cells with one int/int division per part.
 
 The float linear algebra lives here, and some of it takes a band route that
 gives the bits of the dense LAPACK or BLAS call, so no caller needs to know.
@@ -83,27 +89,27 @@ class Kernel:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "diags", tuple(diags))
 
-    @classmethod
-    def of_entries(cls, den: int, m: int, entries) -> Kernel:
-        """The level-m kernel of the entries (j, k, re, im) over ``den``, each diagonal allocated once."""
-        diags = {}
-        for j, k, re, im in entries:
-            if not (0 <= j <= m and 0 <= k <= m):
-                raise ValueError(f"index ({j}, {k}) out of range for level {m}")
-            if j - k not in diags:
-                diags[j - k] = [(0, 0)] * (m + 1 - abs(j - k))
-            diags[j - k][min(j, k)] = (re, im)
-        return cls(den, diags)
-
     def __iter__(self):
         return (cells for _, cells in self.diags)
 
-    def nonzeros(self):
-        """(j, k, re, im) of every nonzero entry, row by row and by column within a row."""
-        entries = []
-        for d, cells in self.diags:
-            entries += [(j, j - d, re, im) for j, (re, im) in enumerate(cells, max(d, 0)) if re or im]
-        yield from sorted(entries)
+
+def newton_column(values) -> list[int]:
+    """The Newton column of a sequence of ints: the first entry of each row of its forward-difference table, with
+    no trailing zero.  The values of a polynomial of degree p in the index have at most p + 1 entries."""
+    column, row = [], list(values)
+    while any(row):
+        column.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return column
+
+
+def newton_cells(column, n: int) -> list[int]:
+    """The first n >= 1 values whose Newton column is ``column``: each row of the difference table, from the last,
+    constant one up, is the prefix sums of the row below it, started at that row's entry of the column."""
+    row = [column[-1] if column else 0] * n
+    for c in reversed(column[:-1]):
+        row = list(accumulate(row[:-1], initial=c))
+    return row
 
 
 def _accumulator(m: int) -> defaultdict:
@@ -176,38 +182,52 @@ def _banded_kernel(m: int, families) -> Kernel:
     s = a + k = j + b, which is c (j+1)...(j+b) * (x-s)!/(m-j)! / D_r with
     D_r = (m+2)...(m+r+1).  For b <= r, as for every canonical symbol and every
     family of Q_f, (x-s)!/(m-j)! = (m-j+1)...(m-j+r-b): the entry is r small integers
-    over D_r.  For b > r it is the reciprocal 1/((x-s+1)...(m-j)), which only a
-    non-canonical chart rational reaches.  Every entry sums integer numerators over
-    one denominator, the lcm of every family's D_r times its den, widened by the
-    reciprocals' lcm when a b > r term occurs.
+    over D_r, a polynomial of degree r in k, or r + 1 if ``by_k``.  So each such term
+    is evaluated on the first cells of its diagonal only, as many as fix a polynomial
+    of the families' highest degree, and each diagonal is extended from the Newton
+    column of their sum.  For b > r the entry is the reciprocal 1/((x-s+1)...(m-j)),
+    which only a non-canonical chart rational reaches, and is evaluated on every cell.
+    Every entry sums integer numerators over one denominator, the lcm of every
+    family's D_r times its den, widened by the reciprocals' lcm when a b > r term occurs.
     """
     den = lcm(*(perm(m + r + 1, r) * c_den for c_den, _, r, _ in families))
-    acc = _accumulator(m)  # over den
+    p = 1 + max(r + by_k for _, _, r, by_k in families)  # the cells that fix a polynomial of each family's degree
+    heads = _accumulator(p - 1)  # diagonal -> its first p cells, over den
     off = []  # the b > r terms: (d, i, re, im, q), adding (re + i im) / (den * q) at cell i of diagonal d
     for c_den, nums, r, by_k in families:
         x, base = m + r, den // (perm(m + r + 1, r) * c_den)
         for (a, b), (c_re, c_im) in nums.items():
             d, lo, hi = a - b, max(0, b - a), min(m, m + b - a)
-            if lo <= hi and a + hi > x:
+            if lo > hi:
+                continue
+            if a + hi > x:
                 raise ValueError(f"non-integrable pairing: s={max(a + lo, x + 1)} exceeds m+R={x}")
             c_re, c_im = c_re * base, c_im * base
-            cells = acc[d]
-            for k in range(max(lo, 1) if by_k else lo, hi + 1):
-                j = k + d
-                n = perm(j + b, b) * (k if by_k else 1)
-                if b > r:
+            if b > r:
+                for k in range(max(lo, 1) if by_k else lo, hi + 1):
+                    j = k + d
+                    n = perm(j + b, b) * (k if by_k else 1)
                     off.append((d, k - lo, c_re * n, c_im * n, perm(m - j, b - r)))
-                    continue
-                n *= perm(m - j + r - b, r - b)
+                continue
+            cells = heads[d]
+            for k in range(lo, min(hi, lo + p - 1) + 1):
+                j = k + d
+                n = perm(j + b, b) * perm(m - j + r - b, r - b) * (k if by_k else 1)
                 cells[k - lo][0] += c_re * n
                 cells[k - lo][1] += c_im * n
+    diags = {}
+    for d, head in heads.items():
+        n = m + 1 - abs(d)
+        diags[d] = list(zip(*(newton_cells(newton_column(part), n) for part in zip(*head[:n]))))
     if off:
-        s = lcm(*(q for *_, q in off))
-        den, acc = den * s, {d: [[re * s, im * s] for re, im in cells] for d, cells in acc.items()}
+        s, acc = lcm(*(q for *_, q in off)), _accumulator(m)
+        for d, cells in diags.items():
+            acc[d] = [[re * s, im * s] for re, im in cells]
         for d, i, re, im, q in off:
             acc[d][i][0] += re * (s // q)
             acc[d][i][1] += im * (s // q)
-    return Kernel(den, acc)
+        den, diags = den * s, acc
+    return Kernel(den, diags)
 
 
 def toeplitz_exact(f: CanonicalSymbol, m: int) -> OperatorMatrix:

@@ -6,7 +6,8 @@ column by column as a symbolic ``ChartRational`` product that is then
 paired with every z^j, and the float entries filled with one
 ``basis_norm_sq`` per index.  It is kept only as an oracle for the
 property tests.  ``values`` and ``kernel_of`` are the tests' one way to
-read a ``Kernel`` entry by entry and to write one.
+read a ``Kernel`` entry by entry and to write one, on top of ``nonzeros``
+and ``kernel_of_entries``, which go between diagonals and (j, k) entries.
 """
 
 from fractions import Fraction
@@ -21,15 +22,35 @@ from btlab.operators import Kernel
 from btlab.symbols import CanonicalSymbol, ChartRational, hamiltonian_field
 
 
+def nonzeros(kernel: Kernel):
+    """(j, k, re, im) of every nonzero entry, row by row and by column within a row."""
+    entries = []
+    for d, cells in kernel.diags:
+        entries += [(j, j - d, re, im) for j, (re, im) in enumerate(cells, max(d, 0)) if re or im]
+    yield from sorted(entries)
+
+
+def kernel_of_entries(den: int, m: int, entries) -> Kernel:
+    """The level-m kernel of the entries (j, k, re, im) over ``den``, each diagonal allocated once."""
+    diags = {}
+    for j, k, re, im in entries:
+        if not (0 <= j <= m and 0 <= k <= m):
+            raise ValueError(f"index ({j}, {k}) out of range for level {m}")
+        if j - k not in diags:
+            diags[j - k] = [(0, 0)] * (m + 1 - abs(j - k))
+        diags[j - k][min(j, k)] = (re, im)
+    return Kernel(den, diags)
+
+
 def values(kernel: Kernel) -> dict[tuple[int, int], QC]:
     """The kernel's nonzero entries as a plain map (j, k) -> QC."""
-    return {(j, k): QC.of_ints(re, im, kernel.den) for j, k, re, im in kernel.nonzeros()}
+    return {(j, k): QC.of_ints(re, im, kernel.den) for j, k, re, im in nonzeros(kernel)}
 
 
 def kernel_of(entries: dict, m: int) -> Kernel:
     """The level-m ``Kernel`` of a map (j, k) -> QC."""
     den, nums = over_common_den(entries)
-    return Kernel.of_entries(den, m, ((j, k, re, im) for (j, k), (re, im) in nums.items()))
+    return kernel_of_entries(den, m, ((j, k, re, im) for (j, k), (re, im) in nums.items()))
 
 
 def matrix_reference(kernel: dict, m: int) -> SimpleNamespace:

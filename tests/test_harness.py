@@ -1,5 +1,6 @@
 """Config parsing, matrix cache, runner determinism, CLI exit codes."""
 
+import errno
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from assembly_reference import values
+from assembly_reference import nonzeros, values
 from btlab.cache import MatrixCache, default_cache_root, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
@@ -224,16 +225,22 @@ def test_cache_miss_returns_none(tmp_path):
     assert cache.load("0" * 64, "toeplitz", 4) is None
 
 
+def _set_first_value(lines: list[str], field: int, value) -> None:
+    """Set the first value of one field of the first diagonal line ``d n re im``: d, n, or a column's first entry."""
+    fields = lines[7].split(" ")
+    fields[field] = ",".join([str(value), *fields[field].split(",")[1:]])
+    lines[7] = " ".join(fields)
+
+
 def _tamper_first_entry(path: Path) -> None:
     lines = path.read_text().splitlines()
-    j, k, re_s, im_s = lines[7].split()
-    lines[7] = f"{j} {k} {int(re_s) + 1} {im_s}"
+    _set_first_value(lines, 2, int(lines[7].split(" ")[2].split(",")[0]) + 1)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _rewrite_with_checksum(path: Path, edit) -> None:
     """Apply ``edit`` to the file's lines, then make the checksum (over the ``den`` line
-    and the entry lines) consistent again, so only the load's own checks can reject it."""
+    and the diagonal lines) consistent again, so only the load's own checks can reject it."""
     lines = path.read_text().splitlines()
     edit(lines)
     block = "\n".join(lines[6:])
@@ -289,47 +296,87 @@ def test_cache_writers_of_one_key_in_four_processes(tmp_path):
     assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
-def test_cache_rejects_out_of_range_index(tmp_path):
+def _partial_write(write_text):
+    def write(path, text):  # a full disk: the write stops part way
+        write_text(path, text[:20])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    return write
+
+
+def _failed_rename(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize(
+    "target, name, failure",
+    [(Path, "write_text", _partial_write(Path.write_text)), (os, "replace", _failed_rename)],
+    ids=["full-disk", "failed-rename"],
+)
+def test_a_failed_store_leaves_no_temp_file(tmp_path, monkeypatch, target, name, failure):
+    f = sphere_height()
+    cache = MatrixCache(tmp_path / "cache")
+    monkeypatch.setattr(target, name, failure)
+    with pytest.raises(OSError):
+        cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    monkeypatch.undo()
+    assert list(cache.root.iterdir()) == []
+
+
+def test_cache_clear_removes_the_temp_file_of_a_killed_writer(tmp_path):
+    # a writer killed between its write and its rename, as fork_map's cleanup kills workers, leaves its temp file
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
     path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    path.with_name(f"{path.name}.4242.tmp").write_text(path.read_text()[:40])
+    (cache.root / "notes.txt").write_text("not the cache's\n")
+    assert cache.clear() == 1
+    assert [p.name for p in cache.root.iterdir()] == ["notes.txt"]
 
-    def edit(lines):
-        _, _, re_s, im_s = lines[7].split()
-        lines[7] = f"5 0 {re_s} {im_s}"
 
-    _rewrite_with_checksum(path, edit)
-    with pytest.raises(CacheCorruption, match="out of range"):
-        cache.load(symbol_hash(f), "toeplitz", 4)
+def test_a_cache_file_has_about_the_same_size_at_every_level(tmp_path):
+    # each diagonal is stored as its Newton column: R + 1 ints per part whatever the level, which only widen
+    bump = parse_config(write_cfg(tmp_path, BUMP)).symbols["bump"]
+    cache = MatrixCache(tmp_path / "cache")
+    small, large = (cache.store(toeplitz_exact(bump, m), symbol_hash(bump), "toeplitz") for m in (16, 1024))
+    assert large.stat().st_size <= 1.5 * small.stat().st_size
+
+
+def test_cache_rejects_out_of_range_index(tmp_path):
+    # a diagonal d holds at most m + 1 - |d| cells at level m, and at least one
+    f = sphere_height()
+    cache = MatrixCache(tmp_path / "cache")
+    for d, n in [(5, 1), (-5, 1), (0, 6), (1, 5), (-4, 2), (0, 0), (0, -1)]:
+        path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+        _rewrite_with_checksum(path, lambda lines: lines.__setitem__(7, f"{d} {n} 1 0"))
+        with pytest.raises(CacheCorruption, match="out of range"):
+            cache.load(symbol_hash(f), "toeplitz", 4)
 
 
 @pytest.mark.parametrize("value", ["1/0", "1/-2", "x", "", "1.5", "1/2"])
 def test_cache_rejects_a_malformed_value(tmp_path, value):
-    # a checksum-consistent file whose first value is no plain integer
+    # a checksum-consistent file whose first value is no plain integer, in each field of a diagonal line
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
-    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
-
-    def edit(lines):
-        j, k, _, im_s = lines[7].split()
-        lines[7] = f"{j} {k} {value} {im_s}"
-
-    _rewrite_with_checksum(path, edit)
-    with pytest.raises(CacheCorruption):
-        cache.load(symbol_hash(f), "toeplitz", 4)
+    for field in range(4):
+        path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+        _rewrite_with_checksum(path, lambda lines: _set_first_value(lines, field, value))
+        with pytest.raises(CacheCorruption):
+            cache.load(symbol_hash(f), "toeplitz", 4)
 
 
 def _scale_kernel(lines: list[str], factor: int) -> None:
-    """Multiply the den line and every entry part by ``factor``: the same rationals."""
+    """Multiply the den line and every Newton column entry by ``factor``: the same rationals."""
     lines[6] = f"den {int(lines[6].split()[1]) * factor}"
     for i in range(7, len(lines)):
-        j, k, re_s, im_s = lines[i].split()
-        lines[i] = f"{j} {k} {int(re_s) * factor} {int(im_s) * factor}"
+        d, n, *columns = lines[i].split(" ")
+        lines[i] = " ".join([d, n, *(",".join(str(int(v) * factor) for v in c.split(",")) for c in columns)])
 
 
-def _add_zero_entry(lines: list[str]) -> None:
-    lines[5] = f"entries {int(lines[5].split()[1]) + 1}"
-    lines.insert(8, "0 1 0 0")
+def _add_zero_diagonal(lines: list[str]) -> None:
+    # a diagonal of one zero cell, which no kernel stores
+    lines[5] = f"diagonals {int(lines[5].split()[1]) + 1}"
+    lines.append("1 1 0 0")
 
 
 @pytest.mark.parametrize(
@@ -338,9 +385,10 @@ def _add_zero_entry(lines: list[str]) -> None:
         lambda lines: _scale_kernel(lines, 2),
         lambda lines: _scale_kernel(lines, -1),
         lambda lines: lines.__setitem__(6, "den 0"),
-        _add_zero_entry,
+        _add_zero_diagonal,
+        lambda lines: lines.__setitem__(7, "0 2 1,-1 0"),  # cells 1 and 0
     ],
-    ids=["not-in-lowest-terms", "negative-den", "zero-den", "zero-entry"],
+    ids=["not-in-lowest-terms", "negative-den", "zero-den", "zero-entry", "trailing-zero-cell"],
 )
 def test_cache_rejects_a_kernel_that_is_not_canonical(tmp_path, edit):
     # a kernel a fresh assembly never gives, even when it holds the same rationals, is corrupt
@@ -388,6 +436,26 @@ def test_assembler_recomputes_float_format_file(tmp_path, caplog):
     _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
 
 
+def test_assembler_recomputes_a_format_3_file(tmp_path, caplog):
+    # format 3 wrote one line ``j k re im`` of plain ints per nonzero entry, under the den line
+    f = sphere_height()
+    kernel = toeplitz_exact(f, 4).kernel
+    cache = MatrixCache(tmp_path / "cache")
+    entries = [f"{j} {k} {re} {im}" for j, k, re, im in nonzeros(kernel)]
+    block = "\n".join([f"den {kernel.den}", *entries])
+    header = [
+        "btlab-matrix 3",
+        "kind toeplitz",
+        "m 4",
+        f"source {symbol_hash(f)}",
+        f"checksum {hashlib.sha256(block.encode()).hexdigest()}",
+        f"entries {len(entries)}",
+    ]
+    cache.root.mkdir(parents=True)
+    cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
+    _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
+
+
 def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
     # format 2 wrote each part as a Fraction string, n or n/d, with no den line
     f = sphere_height()
@@ -407,8 +475,8 @@ def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
     _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
 
 
-def _duplicate_first_entry(lines: list[str]) -> None:
-    lines[5] = f"entries {int(lines[5].split()[1]) + 1}"
+def _duplicate_first_diagonal(lines: list[str]) -> None:
+    lines[5] = f"diagonals {int(lines[5].split()[1]) + 1}"
     lines.insert(8, lines[7])
 
 
@@ -419,9 +487,12 @@ def _duplicate_first_entry(lines: list[str]) -> None:
         (lambda lines: lines.__setitem__(2, "m 5"), "header m mismatch"),
         (lambda lines: lines.__setitem__(3, f"source {'0' * 64}"), "header source mismatch"),
         (lambda lines: lines.__setitem__(6, lines[6].replace("den", "dem")), "no den line"),
-        (_duplicate_first_entry, "entry count mismatch"),
+        (lambda lines: lines.__setitem__(5, "diagonals 2"), "diagonal count mismatch"),
+        (lambda lines: lines.__setitem__(5, "diagonals 0"), "diagonal count mismatch"),
+        (_duplicate_first_diagonal, "diagonal 0 given twice"),
+        (lambda lines: lines.__setitem__(7, "0 2 1,2,3 0"), "column longer than its 2 cells"),
     ],
-    ids=["kind", "level", "source", "den-tag", "duplicate-entry"],
+    ids=["kind", "level", "source", "den-tag", "count-above", "count-below", "duplicate-entry", "long-column"],
 )
 def test_assembler_recomputes_a_file_that_fails_a_load_check(tmp_path, caplog, edit, message):
     # each file is checksum-consistent, so only the load's own checks can reject it

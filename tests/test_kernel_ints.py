@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assembly_reference import kernel_of, matrix_reference, values
+from assembly_reference import kernel_of, kernel_of_entries, matrix_reference, nonzeros, values
 from btlab.exact import QC, QC_I
 from btlab.operators import (
     Kernel,
@@ -25,6 +25,8 @@ from btlab.operators import (
     compose_exact,
     equal_exact,
     lincomb_exact,
+    newton_cells,
+    newton_column,
     prequantum_geometric,
     toeplitz_exact,
     trace_exact,
@@ -133,19 +135,64 @@ def test_the_constructor_drops_zeros_and_rejects_a_non_positive_den():
         assert got == want and hash(got) == hash(want)
         assert got.diags == ((-1, ((0, 1),)), (0, ((1, -3),)))
     # the layout: entry (j, k) is cell min(j, k) of diagonal j - k, both ways
-    assert list(want.nonzeros()) == [(0, 0, 1, -3), (0, 1, 0, 1)]
-    assert Kernel.of_entries(4, 3, [(0, 1, 0, 2), (0, 0, 2, -6)]) == want
+    assert list(nonzeros(want)) == [(0, 0, 1, -3), (0, 1, 0, 1)]
+    assert kernel_of_entries(4, 3, [(0, 1, 0, 2), (0, 0, 2, -6)]) == want
     with pytest.raises(ValueError, match="out of range"):
-        Kernel.of_entries(1, 3, [(0, -1, 1, 0)])
+        kernel_of_entries(1, 3, [(0, -1, 1, 0)])
     # a leading zero cell stays: the by_k family of Q_f skips k = 0, so diagonal 1 starts at (1, 0) with a zero
     lead = Kernel(1, {1: [(0, 0), (5, 0)]})
     assert lead.diags == ((1, ((0, 0), (5, 0))),) and lead != Kernel(1, {1: [(5, 0)]})
-    assert list(lead.nonzeros()) == [(2, 1, 5, 0)]  # the zero cell at (1, 0) is no entry
+    assert list(nonzeros(lead)) == [(2, 1, 5, 0)]  # the zero cell at (1, 0) is no entry
     # iterating yields each diagonal's cells, the stored entries a counter of kernel entries reads
     assert list(lead) == [((0, 0), (5, 0))] and [len(cells) for cells in want] == [1, 1]
     for den in (0, -2):
         with pytest.raises(ValueError, match="positive"):
             Kernel(den, {0: [(1, 0)]})
+
+
+def _newton_columns(kernel: Kernel) -> list[list[int]]:
+    """The Newton column of each part of each diagonal, checked to give back its cells."""
+    columns = []
+    for cells in kernel:
+        for part in zip(*cells):
+            column = newton_column(part)
+            assert len(column) <= len(part) and column[-1:] != [0]
+            assert newton_cells(column, len(part)) == list(part)
+            columns.append(column)
+    return columns
+
+
+@properties
+@given(seeds, st.booleans(), st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=4))
+def test_each_diagonal_of_an_operator_is_a_polynomial_of_degree_r(seed, real, m, max_r):
+    # along a diagonal, T_f's and Q_f's entries are polynomials of degree at most R_f in the cell index
+    f = rand(seed, max_r) if real else rand_complex(seed, max_r)
+    mats = [toeplitz_exact(f, m)] + ([prequantum_geometric(f, m)] if real and m >= 1 else [])
+    for mat in mats:
+        assert all(len(column) <= f.denom_exp + 1 for column in _newton_columns(mat.kernel))
+
+
+parts = st.integers(min_value=-(10**30), max_value=10**30)
+diagonals = st.dictionaries(
+    st.integers(-6, 6), st.lists(st.tuples(parts, parts), min_size=1, max_size=7), max_size=5
+)
+
+
+@properties
+@given(st.integers(min_value=1, max_value=10**6), diagonals)
+def test_newton_columns_give_back_any_kernel(den, diags):
+    # cells that no polynomial of low degree takes: a column has up to one entry per cell
+    _newton_columns(Kernel(den, diags))
+
+
+def test_newton_columns_of_known_sequences():
+    assert newton_column([]) == newton_column([0, 0]) == []
+    assert newton_column([5, 5, 5]) == [5]
+    assert newton_column([0, 1, 4, 9, 16]) == [0, 1, 2]  # k^2
+    assert newton_column([1, -1, 1, -1]) == [1, -2, 4, -8]
+    assert newton_cells([0, 1, 2], 6) == [0, 1, 4, 9, 16, 25]
+    assert newton_cells([], 3) == [0, 0, 0]
+    assert newton_cells([7, 1, 2], 1) == [7]  # a column longer than the cells asked for gives their first values
 
 
 @pytest.mark.parametrize("m", [1, 2, 17, 256, 1024])

@@ -133,7 +133,7 @@ def test_division_by_one_plus_t_matches_the_reference(f, g, k):
 
 def test_demo_symbols_keep_their_cache_file_names():
     # symbol_hash names every cache file; a change here orphans every cache on disk, so it
-    # changes only with the file format (btlab-matrix 3 hashes R, den and the int numerators)
+    # changes only with the file format (since btlab-matrix 3 it hashes R, den and the int numerators)
     symbols = parse_symbols(DEMO)
     assert symbol_hash(symbols["height"]) == "ee317858bffdf2d34e3e9cb47ce83012b3780bcc3bb7b6cd669054b5ea62a727"
     assert symbol_hash(symbols["bump"]) == "34612269e7cfb30b7c61f4fddd94b4be42e0184430d691f68a41ef063890d351"
