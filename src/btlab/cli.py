@@ -1,9 +1,10 @@
 """Command line interface.
 
-Subcommands: ``run`` an experiment config, ``assemble`` a single matrix,
-``report`` a finished run directory, and ``cache clear``.  Exit codes of
-``run``: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 internal error.
+Subcommands: ``run`` an experiment config, ``assemble`` and print a single
+matrix, ``report`` a finished run directory, and ``cache clear``.  Exit codes
+of ``run``: 0 all checks pass, 1 a check failed, 2 configuration error,
+3 internal error.  ``assemble`` and ``report`` exit 2 on input they cannot
+use: a bad symbol or level, or a directory without a readable report.json.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .cache import CACHE_ENV, MatrixCache, default_cache_root, symbol_hash
+from .cache import CACHE_ENV, MatrixCache, default_cache_root
 from .config import BUILTIN_SYMBOLS, check_slope_window, parse_config, parse_symbols
 from .errors import ParseError, ValidationError
 from .operators import prequantum_geometric, toeplitz_exact
@@ -64,9 +65,8 @@ def run_cmd(config_path, out, tolerance_slope, cache_root):
 @click.argument("m", type=int)
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config defining NAME.")
 @click.option("--kind", type=click.Choice(["toeplitz", "prequantum"]), default="toeplitz")
-@click.option("--out", type=click.Path(), default=None, help="Cache directory to store into.")
-def assemble(name, m, config_path, kind, out):
-    """Assemble the operator matrix of symbol NAME at level M."""
+def assemble(name, m, config_path, kind):
+    """Assemble the operator matrix of symbol NAME at level M and print its float entries."""
     try:
         if config_path is not None:
             symbols = parse_symbols(config_path)
@@ -84,12 +84,8 @@ def assemble(name, m, config_path, kind, out):
         raise SystemExit(2)
     try:
         mat = toeplitz_exact(f, m) if kind == "toeplitz" else prequantum_geometric(f, m)
-        if out is not None:
-            path = MatrixCache(Path(out)).store(mat, symbol_hash(f), kind)
-            click.echo(f"stored {path}")
-        else:
-            with np.printoptions(precision=8, suppress=True, linewidth=120):
-                click.echo(str(mat.entries))
+        with np.printoptions(precision=8, suppress=True, linewidth=120):
+            click.echo(str(mat.entries))
     except ValueError as exc:  # the assemblers reject a level or a symbol given on the command line
         click.echo(f"configuration error: {exc}", err=True)
         raise SystemExit(2)
@@ -106,19 +102,26 @@ def report_cmd(directory):
     if not path.exists():
         click.echo(f"no report.json in {directory}", err=True)
         raise SystemExit(2)
-    data = json.loads(path.read_text())
-    click.echo(f"experiment : {data['experiment']} (seed {data['seed']})")
-    click.echo(f"levels     : {data['m_list']}")
-    click.echo(f"calibration: {data['calibration']}")
-    for name, outcome in data["checks"].items():
-        click.echo(f"  {name:12s} {outcome['status']}")
-        for table in outcome["tables"]:
-            fit = table.get("fit")
-            if fit and not fit.get("exact_identity"):
-                click.echo(f"    {table['name']:20s} slope {fit['slope']:+.3f}")
-            elif fit:
-                click.echo(f"    {table['name']:20s} exact identity")
-    click.echo(f"status     : {data['status']}")
+    try:
+        data = json.loads(path.read_text())
+        lines = [
+            f"experiment : {data['experiment']} (seed {data['seed']})",
+            f"levels     : {data['m_list']}",
+            f"calibration: {data['calibration']}",
+        ]
+        for name, outcome in data["checks"].items():
+            lines.append(f"  {name:12s} {outcome['status']}")
+            for table in outcome["tables"]:
+                fit = table.get("fit")
+                if fit and not fit.get("exact_identity"):
+                    lines.append(f"    {table['name']:20s} slope {fit['slope']:+.3f}")
+                elif fit:
+                    lines.append(f"    {table['name']:20s} exact identity")
+        lines.append(f"status     : {data['status']}")
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:  # malformed JSON or not a report's shape
+        click.echo(f"not a btlab report: {path}: {type(exc).__name__}: {exc}", err=True)
+        raise SystemExit(2)
+    click.echo("\n".join(lines))
 
 
 @main.group()

@@ -5,10 +5,6 @@ class NotSmoothAtInfinity(ValueError):
     """A chart-rational function does not extend smoothly through w = 1/z."""
 
 
-class QuadratureBudgetTooSmall(RuntimeError):
-    """Quadrature node counts too small for the requested assembly."""
-
-
 class ShapeMismatch(ValueError):
     """Matrix operands have incompatible shapes."""
 

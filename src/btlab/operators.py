@@ -1,11 +1,10 @@
-"""Operator assembly on the level-m section spaces, exact and by quadrature.
+"""Exact operator assembly on the level-m section spaces, and its float linear algebra.
 
 An operator is its exact kernel: ``OperatorMatrix(m, kernel)`` holds the
 operator in the *unnormalized* monomial basis, where every entry is a
 rational combination of Beta integrals, so identities are checked with no
 tolerance at all.  Its float matrix in the orthonormal monomial basis
-z^j/||z^j|| is taken from the kernel on first read and kept.  Quadrature
-assembly has no kernel and gives plain arrays.
+z^j/||z^j|| is taken from the kernel on first read and kept.
 
 For a numerator monomial z^a zbar^b over (1+t)^R paired between z^j and
 z^k, the angular integral enforces j = a + k - b and the radial integral is
@@ -26,9 +25,14 @@ any cells; the disk cache stores kernels that way.  The exact operations
 work diagonal by diagonal on ints (a composition convolves diagonals, the
 adjoint sends d to -d, the trace sums diagonal 0), and the float entries
 are taken from the cells with one int/int division per part.
+Assembly needs b <= R, as in every smooth symbol and every family of
+Q_f, and rejects a chart rational with a term b > R, which is not smooth
+at infinity.
 
-The float linear algebra lives here, and some of it takes a band route that
-gives the bits of the dense LAPACK or BLAS call, so no caller needs to know.
+The float linear algebra lives here.  It takes operators, except that
+``operator_norm`` also takes a float array, such as a defect of float
+products.  Some of it takes a band route that gives the bits of the dense
+LAPACK or BLAS call, so no caller needs to know.
 A real diagonal operator (``height``) has its norm max |a_jj| and its sorted
 diagonal as spectrum, with no dense matrix: zgesdd's and zhetrd's
 Householder steps are identities on it, and dlasq1 and dsterf then take
@@ -49,13 +53,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from math import gcd, lcm, perm, sqrt
+from math import gcd, lcm, perm
 
 import numpy as np
 
-from .errors import QuadratureBudgetTooSmall, ShapeMismatch
+from .errors import ShapeMismatch
 from .exact import QC, Rational, over_common_den
-from .hilbert import basis_norm_sq
 from .symbols import CanonicalSymbol, hamiltonian_field
 
 
@@ -132,8 +135,9 @@ class OperatorMatrix:
     @cached_property
     def entries(self) -> np.ndarray:
         """The float entry at (j, k) is (re/den + i im/den) * scale[j]/scale[k] with
-        scale[j] = sqrt(basis_norm_sq(m, j)); each re/den is an int/int true division
-        and so correctly rounded.  Each diagonal goes into the dense matrix in one scatter.
+        scale[j] = sqrt(1/((m+1) C(m, j))), the basis norm ||z^j|| over sqrt(2 pi);
+        each re/den is an int/int true division and so correctly rounded.  Each
+        diagonal goes into the dense matrix in one scatter.
         """
         m, den = self.m, self.kernel.den
         scale = np.sqrt([1 / ((m + 1) * c) for c in _binomial_row(m)])
@@ -179,37 +183,27 @@ def _banded_kernel(m: int, families) -> Kernel:
     j = a + k - b only.
 
     Its Beta-integral value is c (m+1) C(m,j) / ((x+1) C(x,s)) with x = m + r and
-    s = a + k = j + b, which is c (j+1)...(j+b) * (x-s)!/(m-j)! / D_r with
-    D_r = (m+2)...(m+r+1).  For b <= r, as for every canonical symbol and every
-    family of Q_f, (x-s)!/(m-j)! = (m-j+1)...(m-j+r-b): the entry is r small integers
-    over D_r, a polynomial of degree r in k, or r + 1 if ``by_k``.  So each such term
-    is evaluated on the first cells of its diagonal only, as many as fix a polynomial
-    of the families' highest degree, and each diagonal is extended from the Newton
-    column of their sum.  For b > r the entry is the reciprocal 1/((x-s+1)...(m-j)),
-    which only a non-canonical chart rational reaches, and is evaluated on every cell.
-    Every entry sums integer numerators over one denominator, the lcm of every
-    family's D_r times its den, widened by the reciprocals' lcm when a b > r term occurs.
+    s = a + k = j + b, which is c (j+1)...(j+b) (m-j+1)...(m-j+r-b) / D_r with
+    D_r = (m+2)...(m+r+1): r small integers over D_r, a polynomial of degree r in k,
+    or r + 1 if ``by_k``.  So each term is evaluated on the first cells of its
+    diagonal only, as many as fix a polynomial of the families' highest degree, and
+    each diagonal is extended from the Newton column of their sum, over one
+    denominator, the lcm of every family's D_r times its den.  That needs b <= r,
+    which holds for every canonical symbol and every family of Q_f; a term with
+    b > r, which only a chart rational that is not smooth at infinity has, raises.
     """
     den = lcm(*(perm(m + r + 1, r) * c_den for c_den, _, r, _ in families))
     p = 1 + max(r + by_k for _, _, r, by_k in families)  # the cells that fix a polynomial of each family's degree
     heads = _accumulator(p - 1)  # diagonal -> its first p cells, over den
-    off = []  # the b > r terms: (d, i, re, im, q), adding (re + i im) / (den * q) at cell i of diagonal d
     for c_den, nums, r, by_k in families:
-        x, base = m + r, den // (perm(m + r + 1, r) * c_den)
+        base = den // (perm(m + r + 1, r) * c_den)
         for (a, b), (c_re, c_im) in nums.items():
+            if b > r:
+                raise ValueError(f"term z^{a} zbar^{b} over (1+t)^{r} is not smooth at infinity")
             d, lo, hi = a - b, max(0, b - a), min(m, m + b - a)
             if lo > hi:
                 continue
-            if a + hi > x:
-                raise ValueError(f"non-integrable pairing: s={max(a + lo, x + 1)} exceeds m+R={x}")
-            c_re, c_im = c_re * base, c_im * base
-            if b > r:
-                for k in range(max(lo, 1) if by_k else lo, hi + 1):
-                    j = k + d
-                    n = perm(j + b, b) * (k if by_k else 1)
-                    off.append((d, k - lo, c_re * n, c_im * n, perm(m - j, b - r)))
-                continue
-            cells = heads[d]
+            c_re, c_im, cells = c_re * base, c_im * base, heads[d]
             for k in range(lo, min(hi, lo + p - 1) + 1):
                 j = k + d
                 n = perm(j + b, b) * perm(m - j + r - b, r - b) * (k if by_k else 1)
@@ -219,14 +213,6 @@ def _banded_kernel(m: int, families) -> Kernel:
     for d, head in heads.items():
         n = m + 1 - abs(d)
         diags[d] = list(zip(*(newton_cells(newton_column(part), n) for part in zip(*head[:n]))))
-    if off:
-        s, acc = lcm(*(q for *_, q in off)), _accumulator(m)
-        for d, cells in diags.items():
-            acc[d] = [[re * s, im * s] for re, im in cells]
-        for d, i, re, im, q in off:
-            acc[d][i][0] += re * (s // q)
-            acc[d][i][1] += im * (s // q)
-        den, diags = den * s, acc
     return Kernel(den, diags)
 
 
@@ -261,91 +247,7 @@ def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
     return OperatorMatrix(m, _banded_kernel(m, families))
 
 
-# -- quadrature path --------------------------------------------------------
-
-
-def _sphere_rule(n_radial: int, n_angular: int):
-    if n_radial < 1 or n_angular < 1:
-        raise QuadratureBudgetTooSmall("need at least one node in each direction")
-    u, w = np.polynomial.legendre.leggauss(n_radial)
-    phi = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    return u, w, phi
-
-
-def _eval_on_grid(fn, z: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(z), dtype=complex)
-        if vals.shape == z.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass  # not vectorised: evaluate node by node below
-    return np.vectorize(lambda p: complex(fn(p)))(z)
-
-
-def toeplitz_quadrature(fn, m: int, n_radial: int, n_angular: int) -> np.ndarray:
-    """The Toeplitz matrix, in the orthonormal basis, of a black-box point evaluator
-    fn(z) -> complex; it has no exact kernel.
-
-    Gauss-Legendre in u = (t-1)/(t+1) times a uniform (trapezoid) rule in
-    the phase; for symbol-algebra inputs with m + R < 2*n_radial the radial
-    integrand is a polynomial in u and the rule is exact up to rounding.
-    """
-    u, w, phi = _sphere_rule(n_radial, n_angular)
-    tau_hi = (1.0 + u) / 2.0  # t/(1+t) on the nodes
-    tau_lo = (1.0 - u) / 2.0  # 1/(1+t)
-    t = tau_hi / tau_lo
-    z = np.sqrt(t)[:, None] * np.exp(1j * phi[None, :])
-    vals = _eval_on_grid(fn, z)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    looks_real = float(np.max(np.abs(vals.imag))) <= 1e-9 * scale
-
-    # angular transform: ang[i, nu+m] = sum_l vals[i,l] e^{i nu phi_l} * (2 pi / n_a)
-    nus = np.arange(-m, m + 1)
-    ang = vals @ np.exp(1j * np.outer(phi, nus)) * (2.0 * np.pi / n_angular)
-
-    norms = np.array([2.0 * np.pi * float(basis_norm_sq(m, j)) for j in range(m + 1)])
-    entries = np.empty((m + 1, m + 1), dtype=complex)
-    for j in range(m + 1):
-        for k in range(m + 1):
-            radial = tau_hi ** ((j + k) / 2.0) * tau_lo ** (m - (j + k) / 2.0)
-            val = np.sum((w / 2.0) * radial * ang[:, (k - j) + m])
-            entries[j, k] = val / sqrt(norms[j] * norms[k])
-
-    if looks_real:
-        defect = float(np.max(np.abs(entries - entries.conj().T)))
-        if defect > 1e-6:
-            raise QuadratureBudgetTooSmall(
-                f"Hermiticity defect {defect:.3e} at ({n_radial}, {n_angular}) nodes"
-            )
-    return entries
-
-
-def gram_quadrature(m: int) -> np.ndarray:
-    """Gram matrix <z^j, z^k> of the unnormalized monomials by quadrature on 64 x 64 nodes."""
-    n_radial = n_angular = 64
-    u, w, phi = _sphere_rule(n_radial, n_angular)
-    tau_hi = (1.0 + u) / 2.0
-    tau_lo = (1.0 - u) / 2.0
-    ang = np.array([np.sum(np.exp(1j * nu * phi)) * (2.0 * np.pi / n_angular) for nu in range(-m, m + 1)])
-    gram = np.empty((m + 1, m + 1), dtype=complex)
-    for j in range(m + 1):
-        for k in range(m + 1):
-            radial = tau_hi ** ((j + k) / 2.0) * tau_lo ** (m - (j + k) / 2.0)
-            gram[j, k] = np.sum((w / 2.0) * radial) * ang[(k - j) + m]
-    return gram
-
-
 # -- matrix analysis --------------------------------------------------------
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, OperatorMatrix):
-        return x.entries
-    return np.asarray(x, dtype=complex)
-
-
-def _shape(x) -> tuple[int, ...]:
-    return (x.m + 1, x.m + 1) if isinstance(x, OperatorMatrix) else np.shape(x)
 
 
 # zgesdd, and so numpy's 2-norm, scales a matrix whose largest entry |a| is not in [sqrt(safe min)/eps, its
@@ -359,30 +261,33 @@ def _unscaled(values: np.ndarray) -> bool:
     return top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1]
 
 
-def _real_diagonal(x) -> np.ndarray | None:
+def _real_diagonal(x: OperatorMatrix) -> np.ndarray | None:
     """The float diagonal of an operator whose kernel lies on diagonal 0 alone and whose diagonal floats are
     real (``height``, or any real U(1)-invariant symbol), else None."""
-    if isinstance(x, OperatorMatrix) and all(d == 0 for d, _ in x.kernel.diags) and not x.diagonal.imag.any():
+    if all(d == 0 for d, _ in x.kernel.diags) and not x.diagonal.imag.any():
         return x.diagonal.real
     return None
 
 
-def _tridiagonal(x) -> bool:
-    """Whether x is an operator whose kernel lies on diagonals -1, 0 and 1, as ``bump``'s does."""
-    return isinstance(x, OperatorMatrix) and all(abs(d) <= 1 for d, _ in x.kernel.diags)
+def _tridiagonal(x: OperatorMatrix) -> bool:
+    """Whether x's kernel lies on diagonals -1, 0 and 1, as ``bump``'s does."""
+    return all(abs(d) <= 1 for d, _ in x.kernel.diags)
 
 
 def operator_norm(x) -> float:
-    """Largest singular value; exactly 0.0, with no SVD, for a zero matrix.  A real diagonal operator, or an
-    empty kernel, gives max |a_jj| with no SVD and no dense matrix."""
-    d = _real_diagonal(x)
-    if d is not None and _unscaled(d):
-        return float(np.max(np.abs(d)))
-    arr = _as_array(x)
+    """Largest singular value of an operator or of a float array, such as a defect of float products; exactly
+    0.0, with no SVD, for a zero matrix.  A real diagonal operator, or an empty kernel, gives max |a_jj| with no
+    SVD and no dense matrix."""
+    if isinstance(x, OperatorMatrix):
+        d = _real_diagonal(x)
+        if d is not None and _unscaled(d):
+            return float(np.max(np.abs(d)))
+        x = x.entries
+    arr = np.asarray(x, dtype=complex)
     return float(np.linalg.norm(arr, 2)) if arr.any() else 0.0
 
 
-def hermitian_eigenvalues(x) -> np.ndarray:
+def hermitian_eigenvalues(x: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of (A + A*)/2 for a Hermitian A, ascending; a defect |A - A*| above 1e-9 relative raises.
 
     A real diagonal operator gives its sorted diagonal.  A tridiagonal operator's defect is read on its three
@@ -392,7 +297,7 @@ def hermitian_eigenvalues(x) -> np.ndarray:
     d = _real_diagonal(x)
     if d is not None and _unscaled(d):
         return np.sort(d)
-    arr = _as_array(x)
+    arr = x.entries
     band = _tridiagonal(x)
     parts = [np.diagonal(arr, k) for k in (0, -1, 1)] if band else [arr]
     mirrors = [np.diagonal(arr, -k).conj() for k in (0, -1, 1)] if band else [arr.conj().T]
@@ -408,48 +313,42 @@ def hermitian_eigenvalues(x) -> np.ndarray:
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
 
 
-def matmul(x, y) -> np.ndarray:
-    """The float product xy, with +0.0 for each exact zero.
+def matmul(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
+    """The float product xy of two operators of one level, with +0.0 for each exact zero.
 
     A real diagonal factor scales the other operator's rows or columns, with no dense matrix of its own.  The zgemm
     leaves the sign of an exact zero to its kernel, and that sign can move the last bit of a later SVD, so both
     ways end by adding +0.0, which turns -0.0 into +0.0 and leaves every other entry as it is."""
-    if isinstance(x, OperatorMatrix) and isinstance(y, OperatorMatrix) and x.m == y.m:
-        d, e = _real_diagonal(x), _real_diagonal(y)
-        if d is not None and e is not None:
-            product = np.diag((d * e).astype(complex))
-        elif d is not None:
-            product = d[:, None] * y.entries
-        elif e is not None:
-            product = x.entries * e
-        else:
-            product = x.entries @ y.entries
+    _level(x, y)
+    d, e = _real_diagonal(x), _real_diagonal(y)
+    if d is not None and e is not None:
+        product = np.diag((d * e).astype(complex))
+    elif d is not None:
+        product = d[:, None] * y.entries
+    elif e is not None:
+        product = x.entries * e
     else:
-        product = _as_array(x) @ _as_array(y)
+        product = x.entries @ y.entries
     product += 0.0
     return product
 
 
-def commutator(x, y) -> np.ndarray:
-    if _shape(x) != _shape(y):
-        raise ShapeMismatch(f"commutator of shapes {_shape(x)} and {_shape(y)}")
+def commutator(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
+    """The float commutator xy - yx of two operators of one level."""
     return matmul(x, y) - matmul(y, x)
 
 
-def adjoint(x):
-    """Hermitian adjoint.  An operator's adjoint is exact, and its floats come from its
-    kernel alone, as for any other operator; an array is conjugate-transposed."""
-    if isinstance(x, OperatorMatrix):
-        # entry (k, j) is conj(entry (j, k)) * C(m, k) / C(m, j), over den times the lcm of the row binomials,
-        # so cell i of diagonal d goes to cell i of diagonal -d
-        c, diags = _binomial_row(x.m), x.kernel.diags
-        rows = lcm(*{c[i + max(d, 0)] for d, cells in diags for i in range(len(cells))})
-        star = {}
-        for d, cells in diags:
-            scales = [c[i + max(-d, 0)] * (rows // c[i + max(d, 0)]) for i in range(len(cells))]
-            star[-d] = [(re * s, -im * s) for (re, im), s in zip(cells, scales)]
-        return OperatorMatrix(x.m, Kernel(x.kernel.den * rows, star))
-    return _as_array(x).conj().T
+def adjoint(x: OperatorMatrix) -> OperatorMatrix:
+    """Hermitian adjoint, exactly; its floats come from its kernel alone, as for any other operator."""
+    # entry (k, j) is conj(entry (j, k)) * C(m, k) / C(m, j), over den times the lcm of the row binomials,
+    # so cell i of diagonal d goes to cell i of diagonal -d
+    c, diags = _binomial_row(x.m), x.kernel.diags
+    rows = lcm(*{c[i + max(d, 0)] for d, cells in diags for i in range(len(cells))})
+    star = {}
+    for d, cells in diags:
+        scales = [c[i + max(-d, 0)] * (rows // c[i + max(d, 0)]) for i in range(len(cells))]
+        star[-d] = [(re * s, -im * s) for (re, im), s in zip(cells, scales)]
+    return OperatorMatrix(x.m, Kernel(x.kernel.den * rows, star))
 
 
 # -- exact kernel arithmetic -------------------------------------------------
@@ -502,7 +401,3 @@ def trace_exact(a: OperatorMatrix) -> QC:
 def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     _level(a, b)
     return a.kernel == b.kernel
-
-
-def identity_exact(m: int) -> OperatorMatrix:
-    return OperatorMatrix(m, Kernel(1, {0: [(1, 0)] * (m + 1)}))

@@ -27,9 +27,8 @@ from .operators import (
     toeplitz_exact,
 )
 from .starproduct import c1
-from .symbols import CanonicalSymbol, average, laplacian, poisson_bracket, sup_norm
+from .symbols import CanonicalSymbol, average, laplacian, poisson_bracket
 
-DEFAULT_SWEEP = (8, 16, 32, 64, 128)
 EXACT_ZERO_TOL = 1e-13
 
 
@@ -85,13 +84,6 @@ def sweep(name: str, m_list, fn) -> ConvergenceTable:
     return ConvergenceTable(name, [(m, fn(m)) for m in m_list])
 
 
-def norm_defect(f: CanonicalSymbol, m: int, sup: float | None = None, toeplitz=toeplitz_exact) -> float:
-    """sup|f| minus the operator norm of the level-m Toeplitz matrix."""
-    if sup is None:
-        sup = sup_norm(f)
-    return sup - operator_norm(toeplitz(f, m))
-
-
 def dirac_defect(f: CanonicalSymbol, g: CanonicalSymbol, m: int, toeplitz=toeplitz_exact) -> float:
     """|| m i [T_f, T_g] - T_{{f,g}} || at level m."""
     bracket = toeplitz(poisson_bracket(f, g), m)
@@ -131,11 +123,6 @@ def tuynman_difference(
     """Q_f - i T_{f - Delta f/(2m)}, exactly: Tuynman's identity says its kernel is empty."""
     q = prequantum(f, m)
     return lincomb_exact([(1, q), (QC(0, -1), toeplitz(f - laplacian(f).scale(Fraction(1, 2 * m)), m))])
-
-
-def tuynman_defect(f: CanonicalSymbol, m: int, toeplitz=toeplitz_exact, prequantum=prequantum_geometric) -> float:
-    """|| Q_f - i T_{f - Delta f/(2m)} ||; identically zero for this model."""
-    return operator_norm(tuynman_difference(f, m, toeplitz, prequantum))
 
 
 def spectral_moment(eigs: np.ndarray, k: int) -> float:

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnknownCoefficientOrder
-from .exact import QC, QC_I, Rational
+from .exact import QC, Rational
 from .symbols import (
     CanonicalSymbol,
     average,
     constant,
     laplacian,
-    poisson_bracket,
     reduce,
     wirtinger,
 )
@@ -170,12 +169,6 @@ def check_axioms(f: CanonicalSymbol, g: CanonicalSymbol, h: CanonicalSymbol) -> 
     assoc_ok = f * c1(g, h) + c1(f, g * h) == c1_fg * h + c1(f * g, h)
     trace_ok = average(c1_fg - c1(g, f)) == QC(0)
     return AxiomReport(unit_ok, parity_ok, assoc_ok, trace_ok)
-
-
-def bracket_compatibility_defect(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
-    """c1(f,g) - c1(g,f) + i*{f,g}; the zero symbol when the first-order
-    antisymmetric part reproduces the Poisson bracket."""
-    return c1(f, g) - c1(g, f) + poisson_bracket(f, g).scale(QC_I)
 
 
 @dataclass(frozen=True)

@@ -387,22 +387,6 @@ def average(f: CanonicalSymbol) -> QC:
     return total
 
 
-def integrate(f: CanonicalSymbol) -> complex:
-    """Integral of f over P^1 against the Liouville form (vol = 2*pi)."""
-    return 2.0 * np.pi * complex(average(f))
-
-
-def evaluate(f: ChartRational, z: complex) -> complex:
-    """Value of f at a finite chart point or at INF."""
-    return f.evaluate(z)
-
-
-def flip_chart(f: CanonicalSymbol) -> CanonicalSymbol:
-    """The same function written in the w = 1/z chart (an involution)."""
-    r = f.denom_exp
-    return CanonicalSymbol._of(f.den, {(r - a, r - b): v for (a, b), v in f.nums.items()}, r)
-
-
 def sup_norm(f: CanonicalSymbol) -> float:
     """Certified lower bound for the sup of |f| over the sphere.
 

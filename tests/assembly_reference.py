@@ -7,7 +7,8 @@ paired with every z^j, and the float entries filled with one
 ``basis_norm_sq`` per index.  It is kept only as an oracle for the
 property tests.  ``values`` and ``kernel_of`` are the tests' one way to
 read a ``Kernel`` entry by entry and to write one, on top of ``nonzeros``
-and ``kernel_of_entries``, which go between diagonals and (j, k) entries.
+and ``kernel_of_entries``, which go between diagonals and (j, k) entries;
+``identity_exact`` is the level-m identity operator.
 """
 
 from fractions import Fraction
@@ -17,9 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from btlab.exact import QC, QC_I, over_common_den
-from btlab.hilbert import basis_norm_sq
-from btlab.operators import Kernel
+from btlab.operators import Kernel, OperatorMatrix
 from btlab.symbols import CanonicalSymbol, ChartRational, hamiltonian_field
+from hilbert_reference import basis_norm_sq
 
 
 def nonzeros(kernel: Kernel):
@@ -51,6 +52,10 @@ def kernel_of(entries: dict, m: int) -> Kernel:
     """The level-m ``Kernel`` of a map (j, k) -> QC."""
     den, nums = over_common_den(entries)
     return kernel_of_entries(den, m, ((j, k, re, im) for (j, k), (re, im) in nums.items()))
+
+
+def identity_exact(m: int) -> OperatorMatrix:
+    return OperatorMatrix(m, Kernel(1, {0: [(1, 0)] * (m + 1)}))
 
 
 def matrix_reference(kernel: dict, m: int) -> SimpleNamespace:

@@ -1,13 +1,15 @@
 import pytest
 
 from btlab.exact import QC, QC_I
-from btlab.operators import OperatorMatrix, equal_exact, lincomb_exact
+from btlab.operators import OperatorMatrix, equal_exact, lincomb_exact, operator_norm, toeplitz_exact
+from btlab.semiclassics import tuynman_difference
 from btlab.symbols import (
     CanonicalSymbol,
     constant,
     random_real_symbol,
     sphere_coord_x,
     sphere_height,
+    sup_norm,
 )
 
 
@@ -33,6 +35,16 @@ def rand(seed: int, max_r: int = 2) -> CanonicalSymbol:
 def equals_i_times(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     """Whether a = i b exactly, decided as one exact equality."""
     return equal_exact(a, lincomb_exact([(QC_I, b)]))
+
+
+def norm_defect(f: CanonicalSymbol, m: int) -> float:
+    """sup|f| minus the norm of T_f at level m, the value of a norms row."""
+    return sup_norm(f) - operator_norm(toeplitz_exact(f, m))
+
+
+def tuynman_defect(f: CanonicalSymbol, m: int) -> float:
+    """|| Q_f - i T_{f - Delta f/(2m)} ||, the float value of a tuynman row; identically zero for this model."""
+    return operator_norm(tuynman_difference(f, m))
 
 
 def rand_complex(seed: int, max_r: int = 2) -> CanonicalSymbol:

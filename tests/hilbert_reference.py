@@ -1,8 +1,11 @@
-"""The quantum Hilbert spaces: holomorphic sections of O(m) on P^1.
+"""Test-only reference for the quantum Hilbert spaces: holomorphic sections of O(m) on P^1.
 
 In the affine chart a section is a polynomial psi(z) of degree <= m with
 pointwise metric weight (1+|z|^2)^{-m}.  The monomials z^j are mutually
 orthogonal with exactly known norms, so everything here is closed form.
+``btlab.operators`` takes the same norms from one binomial row; this module
+is kept as an oracle for the quadrature and assembly references and for the
+Bergman-density tests.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ import cmath
 from fractions import Fraction
 from math import comb, pi
 
-from .exact import QC
-from .symbols import CanonicalSymbol, symbol
+from btlab.exact import QC
+from btlab.symbols import CanonicalSymbol, symbol
 
 
 def dimension(m: int) -> int:

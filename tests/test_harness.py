@@ -24,11 +24,11 @@ from btlab.cache import MatrixCache, default_cache_root, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
-from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, toeplitz_exact
+from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, prequantum_geometric, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
 from btlab import operators, runner, semiclassics
 from btlab.semiclassics import moment_limit, spectral_moment
-from btlab.symbols import sphere_height
+from btlab.symbols import sphere_coord_x, sphere_height
 
 MINIMAL = """
 [experiment]
@@ -950,18 +950,11 @@ def test_cli_assemble_unknown_symbol():
     assert result.exit_code == 2
 
 
-def test_cli_assemble_into_cache(tmp_path):
-    result = CliRunner().invoke(main, ["assemble", "height", "3", "--out", str(tmp_path / "cache")])
-    assert result.exit_code == 0
-    assert list((tmp_path / "cache").glob("toeplitz-m3-*.mat"))
-
-
 def test_cli_assemble_prequantum(tmp_path):
-    result = CliRunner().invoke(
-        main, ["assemble", "xcoord", "2", "--kind", "prequantum", "--out", str(tmp_path / "cache")]
-    )
+    result = CliRunner().invoke(main, ["assemble", "xcoord", "2", "--kind", "prequantum"])
     assert result.exit_code == 0
-    assert list((tmp_path / "cache").glob("prequantum-m2-*.mat"))
+    with np.printoptions(precision=8, suppress=True, linewidth=120):
+        assert result.output == f"{prequantum_geometric(sphere_coord_x(), 2).entries}\n"
 
 
 def test_cli_assemble_rejects_prequantum_level_zero():
@@ -1065,6 +1058,18 @@ def test_cli_report_needs_a_report_json(tmp_path):
     result = CliRunner().invoke(main, ["report", str(tmp_path)])
     assert result.exit_code == 2
     assert f"no report.json in {tmp_path}" in result.output
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"experiment": "x"}', "KeyError: 'seed'"), ("not json", "JSONDecodeError: Expecting value")],
+    ids=["missing-key", "not-json"],
+)
+def test_cli_report_rejects_a_report_json_it_cannot_read(tmp_path, text, reason):
+    (tmp_path / "report.json").write_text(text)
+    result = CliRunner().invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith(f"not a btlab report: {tmp_path / 'report.json'}: {reason}")
 
 
 def test_cache_dir_variable_sets_the_default_root(tmp_path, monkeypatch):

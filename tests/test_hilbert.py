@@ -7,9 +7,9 @@ from math import pi
 import pytest
 
 from btlab.exact import QC
-from btlab.hilbert import basis_norm_sq, bergman_density, bergman_density_symbol, dimension
-from btlab.operators import gram_quadrature
 from btlab.symbols import INF, average
+from hilbert_reference import basis_norm_sq, bergman_density, bergman_density_symbol, dimension
+from quadrature_reference import gram_quadrature
 
 
 def test_dimension_values():

@@ -7,29 +7,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from assembly_reference import kernel_of, values
+from assembly_reference import identity_exact, kernel_of, values
 from btlab.config import parse_symbols
-from btlab.errors import QuadratureBudgetTooSmall, ShapeMismatch
+from btlab.errors import ShapeMismatch
 from btlab.exact import QC
 from btlab.operators import (
+    Kernel,
     OperatorMatrix,
     adjoint,
     commutator,
     compose_exact,
     equal_exact,
-    gram_quadrature,
     hermitian_eigenvalues,
-    identity_exact,
     lincomb_exact,
     matmul,
     operator_norm,
     prequantum_geometric,
     toeplitz_exact,
-    toeplitz_quadrature,
     trace_exact,
 )
 from btlab.symbols import average, laplacian, sup_norm, symbol
 from conftest import equals_i_times, rand, rand_complex
+from quadrature_reference import QuadratureBudgetTooSmall, gram_quadrature, toeplitz_quadrature
 
 
 def beta(p: int, q: int) -> Fraction:
@@ -105,7 +104,7 @@ def test_hermitian_for_real_symbols():
         assert np.max(np.abs(t.entries - t.entries.conj().T)) <= 1e-12
 
 
-# -- quadrature path -------------------------------------------------------------
+# -- quadrature oracle ------------------------------------------------------------
 
 
 def test_quadrature_matches_exact(height):
@@ -246,14 +245,20 @@ def test_commutator_basics(height):
     t = toeplitz_exact(height, 4)
     assert np.max(np.abs(commutator(t, t))) == 0.0
     with pytest.raises(ShapeMismatch):
-        commutator(np.eye(2), np.eye(3))
+        commutator(identity_exact(1), identity_exact(2))
+    with pytest.raises(ShapeMismatch):
+        matmul(identity_exact(1), identity_exact(2))
 
 
 def test_eigenvalues_sorted_and_hermiticity_guard():
-    eigs = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]))
+    eigs = hermitian_eigenvalues(OperatorMatrix(2, Kernel(1, {0: [(3, 0), (-1, 0), (2, 0)]})))
     assert list(eigs) == sorted(eigs)
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    upper = OperatorMatrix(1, Kernel(1, {-1: [(1, 0)]}))  # the one entry (0, 1): [[0, 1], [0, 0]] at level 1
+    assert np.array_equal(upper.entries, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    corner = OperatorMatrix(2, Kernel(1, {-2: [(1, 0)]}))  # the entry (0, 2) alone, off the band routes
+    for x in (upper, corner):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(x)
 
 
 def test_band_routes_take_the_dense_call_where_they_cannot_match_it(monkeypatch):
@@ -274,7 +279,8 @@ def test_band_routes_take_the_dense_call_where_they_cannot_match_it(monkeypatch)
     complex_diagonal = toeplitz_exact(symbol({(1, 1): QC(1, 1)}, 1), m)
     both_parts = toeplitz_exact(symbol({(0, 0): QC(1), (1, 0): QC(1, 1), (0, 1): QC(1, -1)}, 1), m)
     pentadiagonal = toeplitz_exact(symbol({(0, 0): QC(1), (2, 0): QC(1), (0, 2): QC(1)}, 2), m)
-    plain = np.diag([3.0, -1.0, 2.0]).astype(complex)
+    # a level-2 kernel on diagonals -2, 0 and 2, which no band route takes; C(2, 0) = C(2, 2), so it is Hermitian
+    plain = OperatorMatrix(2, Kernel(1, {-2: [(1, 0)], 0: [(3, 0), (-1, 0), (2, 0)], 2: [(1, 0)]}))
     assert {d for d, _ in pentadiagonal.kernel.diags} == {-2, 0, 2}
     operator_norm(complex_diagonal)
     matmul(complex_diagonal, pentadiagonal)  # a product with it is the dense one

@@ -12,14 +12,12 @@ from btlab.semiclassics import (
     ConvergenceTable,
     dirac_defect,
     loglog_slope,
-    norm_defect,
     product_coefficients,
     sass_remainder,
     spectral_moment,
-    tuynman_defect,
 )
 from btlab.symbols import average
-from conftest import rand
+from conftest import norm_defect, rand, tuynman_defect
 
 
 # -- slope fitting ------------------------------------------------------------
