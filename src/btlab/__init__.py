@@ -56,7 +56,6 @@ from .symbols import (
     ChartRational,
     VectorFieldChart,
     average,
-    calibrate_hamiltonian_phase,
     constant,
     hamiltonian_field,
     laplacian,

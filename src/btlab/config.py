@@ -5,7 +5,7 @@ Grammar (see README for a complete example)::
     [experiment]
     name = smoke                # optional, defaults to the file stem
     manifold = cp1              # required; only cp1 is supported
-    checks = norms, dirac       # required, nonempty subset of KNOWN_CHECKS
+    checks = norms, dirac       # required, nonempty subset of runner.CHECKS
     m_list = 8, 16, 32, 64      # required, strictly increasing positive
     symbols = height, bump      # optional active subset with no name twice, defaults to all
     seed = 7                    # optional, drives random draws in checks
@@ -35,22 +35,9 @@ from pathlib import Path
 
 from .errors import NotSmoothAtInfinity, ParseError, ValidationError
 from .exact import QC
+from .runner import CHECKS
+from .semiclassics import MIN_FIT_LEVELS
 from .symbols import CanonicalSymbol, sphere_coord_x, sphere_height, symbol
-
-KNOWN_CHECKS = (
-    "norms",
-    "dirac",
-    "product",
-    "sass2",
-    "trace",
-    "spectrum",
-    "tuynman",
-    "staraxioms",
-    "equivalence",
-)
-
-# sup norm, Hamiltonian field, Hermitian spectrum and prequantum operator exist for real symbols only
-REAL_SYMBOL_CHECKS = ("norms", "dirac", "spectrum", "tuynman")
 
 SUPPORTED_MANIFOLDS = ("cp1",)
 
@@ -187,9 +174,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     checks = _split_list(exp.get("checks", ""))
     if not checks:
         raise ValidationError("[experiment]: checks must be a nonempty list")
-    bad = [c for c in checks if c not in KNOWN_CHECKS]
+    bad = [c for c in checks if c not in CHECKS]
     if bad:
-        raise ValidationError(f"unknown check name(s) {bad}; known checks: {', '.join(KNOWN_CHECKS)}")
+        raise ValidationError(f"unknown check name(s) {bad}; known checks: {', '.join(CHECKS)}")
 
     try:
         m_list = [int(tok) for tok in _split_list(exp.get("m_list", ""))]
@@ -219,10 +206,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError(f"[experiment]: {exc}") from exc
 
     name = exp.get("name", path.stem)
-    slope_checks = [c for c in checks if c in ("dirac", "product", "sass2", "spectrum")]
-    if slope_checks and len(m_list) < 4:
-        raise ValidationError(f"checks {slope_checks} fit slopes and need at least 4 levels in m_list")
-    real_checks = [c for c in checks if c in REAL_SYMBOL_CHECKS]
+    slope_checks = [c for c in checks if CHECKS[c].fits]
+    if slope_checks and len(m_list) < MIN_FIT_LEVELS:
+        raise ValidationError(f"checks {slope_checks} fit slopes and need at least {MIN_FIT_LEVELS} levels in m_list")
+    real_checks = [c for c in checks if CHECKS[c].real]
     not_real = [n for n in active if not symbols[n].is_real]
     if real_checks and not_real:
         raise ValidationError(f"symbol(s) {not_real} are not real; checks {real_checks} need real symbols")

@@ -6,7 +6,7 @@ class NotSmoothAtInfinity(ValueError):
 
 
 class ShapeMismatch(ValueError):
-    """Matrix operands have incompatible shapes."""
+    """Operator operands have different levels."""
 
 
 class UnknownCoefficientOrder(ValueError):

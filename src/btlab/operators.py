@@ -396,8 +396,3 @@ def lincomb_exact(terms: list[tuple[QC | Rational, OperatorMatrix]]) -> Operator
 def trace_exact(a: OperatorMatrix) -> QC:
     diag = dict(a.kernel.diags).get(0, ())
     return QC.of_ints(sum(re for re, _ in diag), sum(im for _, im in diag), a.kernel.den)
-
-
-def equal_exact(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    _level(a, b)
-    return a.kernel == b.kernel

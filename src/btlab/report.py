@@ -2,7 +2,8 @@
 
     report.json   -- the RunReport, as dataclasses.asdict gives it, in strict JSON
     tables.csv    -- every convergence table as rows (check, m, value)
-    plots/*.dat   -- one two-column gnuplot file per table
+    plots/*.dat   -- one two-column gnuplot file per table; the .dat files of an
+                     earlier run into the same directory are removed first
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def write_report(report: RunReport, outdir: Path) -> None:
 
     plots = outdir / "plots"
     plots.mkdir(exist_ok=True)
+    for stale in plots.glob("*.dat"):  # a table of an earlier run into this directory
+        stale.unlink()
     for check_name, outcome in report.checks.items():
         for table in outcome.tables:
             label = _safe_label(f"{check_name}_{table.name}")

@@ -4,17 +4,18 @@ A run executes every requested check against the configured symbols and
 levels, records one outcome per check, and writes the files of ``report``
 (report.json, tables.csv, plots/) into the output directory.
 
-Each sweep check is one task per level of m_list, a row that gives that
-level's values and exact decision; the work of a check that needs no level
-(a sup norm, an average, the moment limits, the symbolic checks) is one
-more task.  The tasks go out largest level first, in config order within a
-level, with the no-level tasks and then the calibration last, so the
-costliest rows start at once.  With n = min(number of tasks, usable CPUs)
-above one, n forked worker processes take them from one pipe
-(``forkmap``); with n = 1 they run in the calling process.  The calling
-process then builds each check's tables, fits and details from its rows.
-The results, and so every byte written, are the same for every n.  A
-worker that dies makes the run raise.
+``CHECKS`` defines each check once, as a ``Check`` record: its row, the
+task of one level that gives that level's values and exact decision; its
+base, the one task for the work that needs no level (a sup norm, an
+average, the moment limits, a whole symbolic check); its verdict, which
+builds the tables, fits and details from the rows; and which symbols and
+how many levels it needs, which ``config`` validates.  The tasks go out
+largest level first, in config order within a level, with the no-level
+tasks last, so the costliest rows start at once.  With n = min(number of
+tasks, usable CPUs) above one, n forked worker processes take them from one
+pipe (``forkmap``); with n = 1 they run in the calling process.  The calling
+process then runs the verdicts.  The results, and so every byte written, are
+the same for every n.  A worker that dies makes the run raise.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
 error, 3 internal error (the CLI maps exceptions to 2/3).
@@ -25,19 +26,21 @@ from __future__ import annotations
 import logging
 import os
 import time
-from fractions import Fraction
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from platform import python_version
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .cache import MatrixCache, symbol_hash
-from .config import ExperimentConfig
 from .errors import CacheCorruption
-from .exact import QC, QC_I
+from .exact import QC
 from .forkmap import fork_map
-from .operators import OperatorMatrix, equal_exact, hermitian_eigenvalues, lincomb_exact, operator_norm, trace_exact
+from .operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, trace_exact
 from .operators import prequantum_geometric, toeplitz_exact
 from .report import CheckOutcome, RunReport, write_report
 from .semiclassics import (
@@ -53,15 +56,10 @@ from .semiclassics import (
     tuynman_difference,
 )
 from .starproduct import FormalSeries, b_inverse, b_map, check_axioms, check_equivalence
-from .symbols import (
-    CanonicalSymbol,
-    average,
-    calibrate_hamiltonian_phase,
-    laplacian,
-    random_real_symbol,
-    sphere_height,
-    sup_norm,
-)
+from .symbols import HAMILTONIAN_PHASE, LAPLACE_COEFF, CanonicalSymbol, average, random_real_symbol, sup_norm
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 NORM_CONTRACTION_TOL = 1e-9
 
@@ -130,10 +128,23 @@ def _slope_ok(table: ConvergenceTable, threshold: float) -> bool:
     return fit.exact_identity or fit.slope <= threshold
 
 
-# Each sweep check is split in two.  Its row gives one level's values for every active symbol or pair, with that
-# level's exact decision; its verdict builds the tables, fits and details from the rows of all levels, in the
-# parent.  A check's work that needs no level (a sup norm, an average, the moment limits, a whole symbolic check)
-# is its base.
+@dataclass(frozen=True)
+class Check:
+    """One check.  ``row`` (cfg, assembler, m) gives one level's values for every active symbol or pair, with that
+    level's exact decision; ``base`` (cfg) is the check's work that needs no level; both run in a worker.
+    ``verdict`` (cfg, base, {m: row}) builds the ``CheckOutcome`` in the calling process; a check with no verdict
+    is its own base.  A ``real`` check needs real symbols: a sup norm, a Hamiltonian field, a Hermitian spectrum and
+    a prequantum operator exist for real symbols only.  A ``fits`` check fits slopes, so it needs ``MIN_FIT_LEVELS``
+    levels."""
+
+    row: Callable | None = None
+    base: Callable | None = None
+    verdict: Callable | None = None
+    real: bool = False
+    fits: bool = False
+
+    def outcome(self, cfg: ExperimentConfig, base, rows: dict) -> CheckOutcome:
+        return base if self.verdict is None else self.verdict(cfg, base, rows)
 
 
 def _norms_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
@@ -168,7 +179,7 @@ def _dirac_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
     }
 
 
-def _product_row(cfg: ExperimentConfig, assembler: Assembler, m: int, order: int) -> dict:
+def _product_row(cfg: ExperimentConfig, assembler: Assembler, m: int, *, order: int) -> dict:
     rows = {}
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
@@ -176,7 +187,7 @@ def _product_row(cfg: ExperimentConfig, assembler: Assembler, m: int, order: int
     return rows
 
 
-def _pair_verdict(cfg: ExperimentConfig, rows: dict, order: int, scaled: bool) -> CheckOutcome:
+def _pair_verdict(cfg: ExperimentConfig, base: None, rows: dict, *, order: int, scaled: bool) -> CheckOutcome:
     """A defect of O(m^-order) per pair: its fitted slope against the threshold, and with ``scaled`` its largest
     m^order multiple."""
     threshold = -float(order) + order * cfg.slope_window
@@ -298,65 +309,17 @@ def _check_equivalence(cfg: ExperimentConfig) -> CheckOutcome:
     return CheckOutcome("pass" if ok else "fail", [], details)
 
 
-def _symbolic_verdict(cfg: ExperimentConfig, outcome: CheckOutcome, rows: dict) -> CheckOutcome:
-    """A symbolic check has no rows: its base is its whole outcome."""
-    return outcome
-
-
-_ROWS = {  # (cfg, assembler, m) -> that level's values, in a worker
-    "norms": _norms_row,
-    "dirac": _dirac_row,
-    "product": lambda cfg, assembler, m: _product_row(cfg, assembler, m, 1),
-    "sass2": lambda cfg, assembler, m: _product_row(cfg, assembler, m, 2),
-    "trace": _trace_row,
-    "spectrum": _spectrum_row,
-    "tuynman": _tuynman_row,
+CHECKS = {  # in this order, config errors list the known checks
+    "norms": Check(_norms_row, _norms_base, _norms_verdict, real=True),
+    "dirac": Check(_dirac_row, verdict=partial(_pair_verdict, order=1, scaled=False), real=True, fits=True),
+    "product": Check(partial(_product_row, order=1), verdict=partial(_pair_verdict, order=1, scaled=True), fits=True),
+    "sass2": Check(partial(_product_row, order=2), verdict=partial(_pair_verdict, order=2, scaled=True), fits=True),
+    "trace": Check(_trace_row, _trace_base, _trace_verdict),
+    "spectrum": Check(_spectrum_row, _spectrum_base, _spectrum_verdict, real=True, fits=True),
+    "tuynman": Check(_tuynman_row, verdict=_tuynman_verdict, real=True),
+    "staraxioms": Check(base=_check_staraxioms),
+    "equivalence": Check(base=_check_equivalence),
 }
-_BASES = {  # cfg -> the check's work that needs no level, in a worker
-    "norms": _norms_base,
-    "trace": _trace_base,
-    "spectrum": _spectrum_base,
-    "staraxioms": _check_staraxioms,
-    "equivalence": _check_equivalence,
-}
-_VERDICTS = {  # (cfg, base or None, {m: row}) -> CheckOutcome, in the calling process
-    "norms": _norms_verdict,
-    "dirac": lambda cfg, base, rows: _pair_verdict(cfg, rows, 1, scaled=False),
-    "product": lambda cfg, base, rows: _pair_verdict(cfg, rows, 1, scaled=True),
-    "sass2": lambda cfg, base, rows: _pair_verdict(cfg, rows, 2, scaled=True),
-    "trace": _trace_verdict,
-    "spectrum": _spectrum_verdict,
-    "tuynman": _tuynman_verdict,
-    "staraxioms": _symbolic_verdict,
-    "equivalence": _symbolic_verdict,
-}
-
-
-def calibrate_laplacian_coeff() -> Fraction:
-    """Pin the Laplacian normalization against the quantization identity.
-
-    Tries candidate coefficients c in {1, 2, 4} for Delta_c = (c/2)*Delta
-    and returns the one for which Q_f = i T_{f - Delta_c f/(2m)} holds
-    exactly at m = 2 on the height symbol.  Raises if none matches.
-    """
-    f = sphere_height()
-    m = 2
-    q = prequantum_geometric(f, m)
-    for c in (Fraction(1), Fraction(2), Fraction(4)):
-        rhs = toeplitz_exact(f - laplacian(f).scale(c / 2 * Fraction(1, 2 * m)), m)
-        if equal_exact(q, lincomb_exact([(QC_I, rhs)])):
-            return c
-    raise RuntimeError("no candidate Laplacian coefficient satisfies the quantization identity")
-
-
-def _calibrate(cfg: ExperimentConfig) -> dict:
-    """The report's calibration: the Hamiltonian phase and the Laplacian coefficient, each pinned by its oracle."""
-    phase = calibrate_hamiltonian_phase(cfg.seed)
-    return {
-        "poisson_phase": "-i" if phase == QC(0, -1) else "+i",
-        "hamiltonian_formula": "X^z = phase * (1+|z|^2)^2 df/dzbar",
-        "laplacian_coeff": float(calibrate_laplacian_coeff()),
-    }
 
 
 def _tasks(cfg: ExperimentConfig) -> list[tuple[str, int | None]]:
@@ -365,50 +328,45 @@ def _tasks(cfg: ExperimentConfig) -> list[tuple[str, int | None]]:
     The costliest rows are those of the largest level, so they start first and the workers finish close together.
     """
     checks = list(dict.fromkeys(cfg.checks))
-    rows = [(name, m) for m in reversed(cfg.m_list) for name in checks if name in _ROWS]
-    return rows + [(name, None) for name in checks if name in _BASES]
+    rows = [(name, m) for m in reversed(cfg.m_list) for name in checks if CHECKS[name].row]
+    return rows + [(name, None) for name in checks if CHECKS[name].base]
 
 
-def _run_task(cfg: ExperimentConfig, assembler: Assembler, task: tuple[str | None, int | None]) -> tuple:
-    """One task's value and its seconds, in the calling process or in a forked worker; (None, None) calibrates."""
+def _run_task(cfg: ExperimentConfig, assembler: Assembler, task: tuple[str, int | None]) -> tuple:
+    """One task's value and its seconds, in the calling process or in a forked worker."""
     name, m = task
     t0 = time.perf_counter()
-    if name is None:
-        value = _calibrate(cfg)
-    else:
-        value = _BASES[name](cfg) if m is None else _ROWS[name](cfg, assembler, m)
+    value = CHECKS[name].base(cfg) if m is None else CHECKS[name].row(cfg, assembler, m)
     return value, time.perf_counter() - t0
 
 
 def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
-    """Calibrate and run every configured check; ``jobs`` is accepted for old callers and ignored.
+    """Run every configured check; ``jobs`` is accepted for old callers and ignored.
 
     The checks run as ``_tasks``: one row task per (check, level) and one task for a check's work that needs no
-    level, then the calibration, over min(tasks, usable CPUs) forked worker processes, or in the calling process
-    when that is one.  Each worker keeps the assembler it inherits as its memo and sends back the keys it
-    assembled, loaded and found corrupt; the counters come from the union of those keys.  The verdicts, with
-    their fits, run here.
+    level, over min(tasks, usable CPUs) forked worker processes, or in the calling process when that is one.  Each
+    worker keeps the assembler it inherits as its memo and sends back the keys it assembled, loaded and found
+    corrupt; the counters come from the union of those keys.  The verdicts, with their fits, run here.  The
+    report's calibration records the frozen conventions that the symbol layer uses.
     """
     assembler = Assembler(cache)
     tasks = _tasks(cfg)
-    items = [*tasks, (None, None)]  # the calibration goes last: no check reads it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
+    workers = min(len(tasks), cpus)
 
     def run_task(task):  # the children are forked, so this closure is never pickled
         return _run_task(cfg, assembler, task)
 
     if workers <= 1:
-        results = list(map(run_task, items))
+        results = list(map(run_task, tasks))
     else:
         results, key_sets = fork_map(
-            run_task, items, workers, lambda: (assembler.assembled, assembler.loaded, assembler.corrupt)
+            run_task, tasks, workers, lambda: (assembler.assembled, assembler.loaded, assembler.corrupt)
         )
         for assembled, loaded, corrupt in key_sets:
             assembler.assembled |= assembled
             assembler.loaded |= loaded
             assembler.corrupt |= corrupt
-    *results, (calibration, _) = results
     timings = dict.fromkeys(cfg.checks, 0.0)
     bases, rows = {}, {name: {} for name in cfg.checks}
     for (name, m), (value, seconds) in zip(tasks, results):
@@ -417,14 +375,18 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
             bases[name] = value
         else:
             rows[name][m] = value
-    checks = {name: _VERDICTS[name](cfg, bases.get(name), rows[name]) for name in cfg.checks}
+    checks = {name: CHECKS[name].outcome(cfg, bases.get(name), rows[name]) for name in cfg.checks}
     status = "pass" if all(out.status == "pass" for out in checks.values()) else "fail"
     return RunReport(
         experiment=cfg.name,
         manifold=cfg.manifold,
         seed=cfg.seed,
         m_list=list(cfg.m_list),
-        calibration=calibration,
+        calibration={
+            "poisson_phase": "-i" if HAMILTONIAN_PHASE == QC(0, -1) else "+i",
+            "hamiltonian_formula": "X^z = phase * (1+|z|^2)^2 df/dzbar",
+            "laplacian_coeff": float(LAPLACE_COEFF),
+        },
         versions={
             "btlab": __version__,
             "numpy": np.__version__,

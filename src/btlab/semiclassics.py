@@ -30,6 +30,7 @@ from .starproduct import c1
 from .symbols import CanonicalSymbol, average, laplacian, poisson_bracket
 
 EXACT_ZERO_TOL = 1e-13
+MIN_FIT_LEVELS = 4  # the fit uses the upper half of a table, so at least two levels
 
 
 @dataclass
@@ -64,8 +65,8 @@ def loglog_slope(table: ConvergenceTable) -> FitResult:
     """Least-squares slope of log(value) vs log(m) over the upper half of
     the sweep.  Near-zero values are excluded; if fewer than two survive the
     table is flagged as an exact identity, with no slope or intercept."""
-    if len(table.records) < 4:
-        raise DegenerateTable(f"{table.name}: need >= 4 records, have {len(table.records)}")
+    if len(table.records) < MIN_FIT_LEVELS:
+        raise DegenerateTable(f"{table.name}: need >= {MIN_FIT_LEVELS} records, have {len(table.records)}")
     upper = table.records[len(table.records) // 2 :]
     pts = [(m, v) for m, v in upper if v > EXACT_ZERO_TOL]
     if len(pts) < 2:

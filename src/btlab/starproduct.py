@@ -137,7 +137,13 @@ def b_inverse(fs: FormalSeries) -> FormalSeries:
 
 def check_equivalence(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
     """nu^1 coefficient of b(f) * b(g) - b(f *_G g); the zero symbol iff the
-    two star products are intertwined by b at first order."""
+    two star products are intertwined by b at first order.
+
+    It is zero for every c1 and every linear Laplacian: d1 is defined as c1
+    plus the b-correction (Delta(fg) - Delta(f) g - f Delta(g))/2, which is
+    what makes this coefficient vanish.  So the check cannot fail; it checks
+    no relation between the two quantizations (that needs the level-m
+    geometric product)."""
     lhs = star_bt(b_map(FormalSeries.of(f, 1)), b_map(FormalSeries.of(g, 1)))
     rhs = b_map(star_geometric(FormalSeries.of(f, 1), FormalSeries.of(g, 1)))
     return (lhs - rhs).coeff(1)

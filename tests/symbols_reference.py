@@ -6,12 +6,17 @@ sum a new pair of ``Fraction`` values.  A value is a pair (terms, R) for
 N/(1+z*zbar)^R, with terms a dict (a, b) -> QC whose insertion order is
 the order the floats are summed in.  It is kept only as an oracle for the
 property tests.
+
+It also holds the finite-difference oracle that pins the Hamiltonian phase,
+``calibrate_hamiltonian_phase``, which reads no exact derivative at all.
 """
 
+import random
 from math import comb
 
 from btlab.errors import NotSmoothAtInfinity
 from btlab.exact import QC
+from btlab.symbols import random_real_symbol
 
 
 def clean(terms):
@@ -122,3 +127,40 @@ def evaluate(f, z):
     terms, r = f
     zb = z.conjugate()
     return sum(complex(c) * z**a * zb**b for (a, b), c in terms.items()) / (1.0 + (z * zb).real) ** r
+
+
+def finite_diff_wirtinger(fn, z: complex, which: str, eps: float = 1e-6) -> complex:
+    """d/dz or d/dzbar of ``fn`` at z, by central differences along the real and imaginary axes."""
+    fx = (fn(z + eps) - fn(z - eps)) / (2 * eps)
+    fy = (fn(z + 1j * eps) - fn(z - 1j * eps)) / (2 * eps)
+    return 0.5 * (fx - 1j * fy) if which == "dz" else 0.5 * (fx + 1j * fy)
+
+
+def calibrate_hamiltonian_phase(seed: int = 0) -> QC:
+    """Fix the phase sigma in X_f^z = sigma (1+t)^2 df/dzbar by oracle.
+
+    Checks omega(X_f, v) = df(v) to 1e-8 relative at 20 random chart points
+    and directions, with df evaluated by central finite differences, for
+    both candidate phases +-i.  Returns the matching phase (the frozen
+    HAMILTONIAN_PHASE).
+    """
+    rng = random.Random(seed)
+    f = random_real_symbol(seed + 101, 2)
+    fn = f.evaluate
+    candidates = {QC(0, -1): -1j, QC(0, 1): 1j}
+    surviving = set(candidates)
+    for _ in range(20):
+        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        t = (z * z.conjugate()).real
+        dfdzbar = finite_diff_wirtinger(fn, z, "dzbar")
+        df_v = finite_diff_wirtinger(fn, z, "dz") * v + dfdzbar * v.conjugate()
+        for phase in list(surviving):
+            xz = candidates[phase] * (1 + t) ** 2 * dfdzbar
+            xzbar = xz.conjugate()
+            omega_xv = 1j * (1 + t) ** -2 * (xz * v.conjugate() - xzbar * v)
+            if abs(omega_xv - df_v) > 1e-8 * max(1.0, abs(df_v)):
+                surviving.discard(phase)
+    if len(surviving) != 1:
+        raise RuntimeError(f"calibration did not isolate a unique phase: {surviving}")
+    return surviving.pop()

@@ -19,14 +19,13 @@ from btlab.exact import QC
 from btlab.operators import (
     adjoint,
     compose_exact,
-    equal_exact,
     hermitian_eigenvalues,
     lincomb_exact,
     operator_norm,
     toeplitz_exact,
     trace_exact,
 )
-from btlab.runner import Assembler, calibrate_laplacian_coeff, run as run_experiment
+from btlab.runner import Assembler, run as run_experiment
 from btlab.semiclassics import (
     dirac_defect,
     loglog_slope,
@@ -40,16 +39,16 @@ from btlab.starproduct import FormalSeries, b_inverse, b_map, c1, check_axioms, 
 from btlab.symbols import (
     HAMILTONIAN_PHASE,
     average,
-    calibrate_hamiltonian_phase,
     constant,
     poisson_bracket,
     sphere_coord_x,
     sphere_height,
     sup_norm,
 )
-from conftest import rand, rand_complex, tuynman_defect
+from conftest import calibrate_laplacian_coeff, equal_exact, rand, rand_complex, tuynman_defect
 from hilbert_reference import bergman_density, dimension
 from quadrature_reference import gram_quadrature, toeplitz_quadrature
+from symbols_reference import calibrate_hamiltonian_phase
 
 F0 = sphere_height()
 G0 = sphere_coord_x()

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -80,6 +81,11 @@ def write_cfg(tmp_path: Path, text: str, name: str = "exp.cfg") -> Path:
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _patch_check(monkeypatch, name: str, **fields) -> None:
+    """Replace fields of one ``runner.CHECKS`` record for the test."""
+    monkeypatch.setitem(runner.CHECKS, name, replace(runner.CHECKS[name], **fields))
 
 
 # -- config parsing -----------------------------------------------------------
@@ -171,6 +177,37 @@ def test_parse_rejects_slope_checks_with_short_sweep(tmp_path):
     bad = MINIMAL.replace("checks = norms", "checks = dirac")
     with pytest.raises(ValidationError, match="at least 4 levels"):
         parse_config(write_cfg(tmp_path, bad))
+
+
+def test_parse_accepts_exactly_the_checks_of_the_records(tmp_path):
+    names = list(runner.CHECKS)
+    assert names == [
+        "norms", "dirac", "product", "sass2", "trace", "spectrum", "tuynman", "staraxioms", "equivalence",
+    ]
+    text = MINIMAL.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")
+    for name in names:
+        assert parse_config(write_cfg(tmp_path, text.replace("checks = norms", f"checks = {name}"))).checks == [name]
+    bad = text.replace("checks = norms", "checks = norms, wibble")
+    with pytest.raises(ValidationError) as caught:
+        parse_config(write_cfg(tmp_path, bad))
+    assert str(caught.value) == f"unknown check name(s) ['wibble']; known checks: {', '.join(names)}"
+
+
+def test_the_records_say_which_checks_need_four_levels_or_real_symbols(tmp_path, monkeypatch):
+    # trace fits no slope and takes complex symbols, until its record says otherwise
+    short = MINIMAL.replace("checks = norms", "checks = trace")
+    non_real = NON_REAL.replace("checks = norms", "checks = trace").replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")
+    assert parse_config(write_cfg(tmp_path, short)).m_list == [2, 4, 8]
+    assert not parse_config(write_cfg(tmp_path, non_real)).symbols["height"].is_real
+    with monkeypatch.context() as patched:
+        _patch_check(patched, "trace", fits=True)
+        with pytest.raises(ValidationError, match=r"checks \['trace'\] fit slopes and need at least 4 levels"):
+            parse_config(write_cfg(tmp_path, short))
+        assert parse_config(write_cfg(tmp_path, non_real)).checks == ["trace"]
+    _patch_check(monkeypatch, "trace", real=True)
+    with pytest.raises(ValidationError, match=r"checks \['trace'\] need real symbols"):
+        parse_config(write_cfg(tmp_path, non_real))
+    assert parse_config(write_cfg(tmp_path, short)).checks == ["trace"]
 
 
 @pytest.mark.parametrize("window", ["-1", "nan", "inf"])
@@ -607,7 +644,7 @@ terms =
 def test_norms_check_fails_when_a_norm_exceeds_the_sup(tmp_path, monkeypatch, excess, code):
     # a norm above sup|f| by more than NORM_CONTRACTION_TOL = 1e-9 fails the check
     norm = operator_norm(toeplitz_exact(sphere_height(), 8))
-    monkeypatch.setitem(runner._BASES, "norms", lambda cfg: {"height": norm - excess})
+    _patch_check(monkeypatch, "norms", base=lambda cfg: {"height": norm - excess})
     cfg = parse_config(write_cfg(tmp_path, MINIMAL))
     report, got = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
     assert got == code and report.checks["norms"].status == ("fail" if code else "pass")
@@ -774,7 +811,7 @@ def test_a_check_that_raises_in_a_worker_reaches_the_caller(tmp_path, monkeypatc
     def boom(cfg, assembler, m):
         raise RuntimeError(f"synthetic failure in pid {os.getpid()}")
 
-    monkeypatch.setitem(runner._ROWS, "norms", boom)
+    _patch_check(monkeypatch, "norms", row=boom)
     cfg_path = write_cfg(tmp_path, MINIMAL.replace("checks = norms", "checks = norms, trace"))
     with pytest.raises(RuntimeError, match="synthetic failure in pid") as caught:
         run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "out")
@@ -787,10 +824,11 @@ def test_a_check_that_raises_in_a_worker_reaches_the_caller(tmp_path, monkeypatc
 
 
 _KILL_EVERY_NORMS_WORKER = """
-import os, signal, sys
+import dataclasses, os, signal, sys
 from btlab import cli, runner
 os.sched_getaffinity = lambda pid: {0, 1}  # two workers, so the rows never run in this process
-runner._ROWS["norms"] = lambda cfg, assembler, m: os.kill(os.getpid(), signal.SIGKILL)
+norms = runner.CHECKS["norms"]
+runner.CHECKS["norms"] = dataclasses.replace(norms, row=lambda cfg, assembler, m: os.kill(os.getpid(), signal.SIGKILL))
 cli.main(sys.argv[1:])
 """
 
@@ -804,7 +842,7 @@ def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
             raise AssertionError("a row ran in the calling process")
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setitem(runner._ROWS, "norms", die)
+    _patch_check(monkeypatch, "norms", row=die)
     cfg_path = write_cfg(tmp_path, MINIMAL.replace("checks = norms", "checks = norms, trace"))
     with pytest.raises(RuntimeError, match=r"worker process \d+ died \(signal 9\)"):
         runner.execute(parse_config(cfg_path))
@@ -849,6 +887,21 @@ def test_report_files_written(tmp_path):
     assert data["calibration"]["laplacian_coeff"] == 2.0
     assert (tmp_path / "out" / "tables.csv").exists()
     assert list((tmp_path / "out" / "plots").glob("*.dat"))
+
+
+def test_a_run_into_an_old_output_directory_leaves_no_stale_plot(tmp_path):
+    # the second run has no bump tables, so no bump plot may stay
+    text = BUMP.replace("checks = norms", "checks = norms, trace").replace("symbols = bump", "symbols = height, bump")
+    out = tmp_path / "out"
+    for symbols in ("height, bump", "height"):
+        cfg = parse_config(write_cfg(tmp_path, text.replace("symbols = height, bump", f"symbols = {symbols}")))
+        _, code = run_experiment(cfg, cache_root=tmp_path / "cache", out=out)
+        assert code == 0
+    assert sorted(path.name for path in (out / "plots").iterdir()) == ["norms_height.dat", "trace_height.dat"]
+    assert {row.split(",")[0] for row in (out / "tables.csv").read_text().splitlines()[1:]} == {
+        "norms:height",
+        "trace:height",
+    }
 
 
 # -- CLI -------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from btlab.operators import (
     OperatorMatrix,
     adjoint,
     compose_exact,
-    equal_exact,
     lincomb_exact,
     newton_cells,
     newton_column,
@@ -32,7 +31,7 @@ from btlab.operators import (
     trace_exact,
 )
 from btlab.symbols import ChartRational, sphere_height
-from conftest import equals_i_times, rand, rand_complex
+from conftest import equal_exact, equals_i_times, rand, rand_complex
 
 seeds = st.integers(min_value=0, max_value=10_000)
 levels = st.integers(min_value=0, max_value=16)

@@ -17,7 +17,6 @@ from btlab.operators import (
     adjoint,
     commutator,
     compose_exact,
-    equal_exact,
     hermitian_eigenvalues,
     lincomb_exact,
     matmul,
@@ -27,7 +26,7 @@ from btlab.operators import (
     trace_exact,
 )
 from btlab.symbols import average, laplacian, sup_norm, symbol
-from conftest import equals_i_times, rand, rand_complex
+from conftest import equal_exact, equals_i_times, rand, rand_complex
 from quadrature_reference import QuadratureBudgetTooSmall, gram_quadrature, toeplitz_quadrature
 
 

@@ -25,7 +25,6 @@ from btlab.operators import (
     OperatorMatrix,
     adjoint,
     compose_exact,
-    equal_exact,
     hermitian_eigenvalues,
     lincomb_exact,
     matmul,
@@ -45,7 +44,7 @@ from btlab.symbols import (
     reduce,
     symbol,
 )
-from conftest import equals_i_times, rand, rand_complex
+from conftest import equal_exact, equals_i_times, rand, rand_complex
 
 REL_TOL = 1e-12
 
