@@ -1,7 +1,8 @@
 """``map`` over forked worker processes, with no multiprocessing pool.
 
 The children inherit ``fn`` and ``items`` through the fork, so neither is pickled; only the children's
-results, and their exceptions, travel back through pipes.  POSIX only.
+results, and their exceptions, travel back through pipes.  One worker is the calling process itself: no
+fork and no pipe.  POSIX only.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import pickle
 def fork_map(fn, items: list, workers: int, final) -> tuple[list, list]:
     """``list(map(fn, items))`` over ``workers`` forked children, and each child's ``final()``.
 
-    The children take item indices from one pipe.  Each sends its results and ``final()`` back once, when the
-    pipe is empty, then leaves through ``os._exit``.  A child's exception is raised here with its type and message,
-    a child that dies raises RuntimeError, and on every path every child is reaped, killed first if it still runs.
+    With one worker, ``fn`` runs over ``items`` in the calling process, which then calls ``final()`` once, so
+    ``fn``'s exceptions propagate unchanged.  Otherwise the children take item indices from one pipe.  Each sends
+    its results and ``final()`` back once, when the pipe is empty, then leaves through ``os._exit``.  A child's
+    exception is raised here with its type and message, a child that dies raises RuntimeError, and on every path
+    every child is reaped, killed first if it still runs.
     """
+    if workers <= 1:
+        return list(map(fn, items)), [final()]
     queue_r, queue_w = (os.fdopen(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
     children = {}  # pid -> the read end of its result pipe
     try:

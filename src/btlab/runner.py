@@ -11,11 +11,12 @@ average, the moment limits, a whole symbolic check); its verdict, which
 builds the tables, fits and details from the rows; and which symbols and
 how many levels it needs, which ``config`` validates.  The tasks go out
 largest level first, in config order within a level, with the no-level
-tasks last, so the costliest rows start at once.  With n = min(number of
-tasks, usable CPUs) above one, n forked worker processes take them from one
-pipe (``forkmap``); with n = 1 they run in the calling process.  The calling
-process then runs the verdicts.  The results, and so every byte written, are
-the same for every n.  A worker that dies makes the run raise.
+tasks last, so the costliest rows start at once.  They go through one
+``fork_map`` call with n = min(number of tasks, usable CPUs) workers: n
+forked worker processes take them from one pipe, and with n = 1 the calling
+process is the one worker.  The calling process then runs the verdicts.
+The results, and so every byte written, are the same for every n.  A
+worker that dies makes the run raise.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
 error, 3 internal error (the CLI maps exceptions to 2/3).
@@ -344,8 +345,8 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
     """Run every configured check; ``jobs`` is accepted for old callers and ignored.
 
     The checks run as ``_tasks``: one row task per (check, level) and one task for a check's work that needs no
-    level, over min(tasks, usable CPUs) forked worker processes, or in the calling process when that is one.  Each
-    worker keeps the assembler it inherits as its memo and sends back the keys it assembled, loaded and found
+    level, through one ``fork_map`` call with min(tasks, usable CPUs) workers; one worker is the calling process.
+    Each worker keeps the assembler it starts with as its memo and returns the keys it assembled, loaded and found
     corrupt; the counters come from the union of those keys.  The verdicts, with their fits, run here.  The
     report's calibration records the frozen conventions that the symbol layer uses.
     """
@@ -354,19 +355,16 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(tasks), cpus)
 
-    def run_task(task):  # the children are forked, so this closure is never pickled
+    def run_task(task):  # any children are forked, so this closure is never pickled
         return _run_task(cfg, assembler, task)
 
-    if workers <= 1:
-        results = list(map(run_task, tasks))
-    else:
-        results, key_sets = fork_map(
-            run_task, tasks, workers, lambda: (assembler.assembled, assembler.loaded, assembler.corrupt)
-        )
-        for assembled, loaded, corrupt in key_sets:
-            assembler.assembled |= assembled
-            assembler.loaded |= loaded
-            assembler.corrupt |= corrupt
+    results, key_sets = fork_map(
+        run_task, tasks, workers, lambda: (assembler.assembled, assembler.loaded, assembler.corrupt)
+    )
+    for assembled, loaded, corrupt in key_sets:
+        assembler.assembled |= assembled
+        assembler.loaded |= loaded
+        assembler.corrupt |= corrupt
     timings = dict.fromkeys(cfg.checks, 0.0)
     bases, rows = {}, {name: {} for name in cfg.checks}
     for (name, m), (value, seconds) in zip(tasks, results):

@@ -21,8 +21,8 @@ unique.  Products, sums, scaling, conjugation, Wirtinger derivatives, the
 (1+z*zbar) division and the realness test multiply and add Python ints
 only.  ``terms``, the map (a, b) -> QC, is derived from the pair on each
 access, with one ``Fraction`` per nonzero part, in the order of ``nums``:
-floats summed over a symbol's terms (``evaluate``, ``sup_norm``) follow
-that order.
+floats summed over a symbol's terms (``eval_sphere_grid``, so
+``sup_norm``) follow that order.
 
 Geometric conventions (fixed once as HAMILTONIAN_PHASE and LAPLACE_COEFF,
 which every run records in its report; the test suite pins the phase with
@@ -38,7 +38,6 @@ identity Q_f = i T_{f - Delta f/(2m)}):
 
 from __future__ import annotations
 
-import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +55,6 @@ from .exact import QC, QC_I, Rational, beta_int, over_common_den
 # sigma = +i, c = 1 or c = 4.
 HAMILTONIAN_PHASE = QC(0, -1)
 LAPLACE_COEFF = Fraction(2)
-
-INF = complex(float("inf"), 0.0)
 
 Terms = dict[tuple[int, int], QC]
 Nums = dict[tuple[int, int], tuple[int, int]]
@@ -106,8 +103,9 @@ def _divide_one_plus_t(nums: Nums) -> Nums | None:
     the coefficient of the monomial with min(a, b) = i, q_i = n_i - q_{i-1}
     from i = 0 to the top of the diagonal, and the division is exact iff
     the top step leaves q = 0.  The quotient comes back in sorted key
-    order, so the float sums over a reduced symbol's terms (``evaluate``,
-    ``sup_norm``) do not depend on the order of the input.
+    order, so the float sums over a reduced symbol's terms
+    (``eval_sphere_grid``, ``sup_norm``) do not depend on the order of the
+    input.
     """
     tops: dict[int, int] = {}
     for a, b in nums:
@@ -240,16 +238,6 @@ class ChartRational:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, z: complex) -> complex:
-        """Value at a finite chart point z, or at INF (the w = 0 point)."""
-        z, den, r = complex(z), self.den, self.denom_exp
-        if cmath.isinf(z):
-            re, im = self.nums.get((r, r), (0, 0))
-            return complex(re / den, im / den)
-        zb = z.conjugate()
-        num = sum(complex(re / den, im / den) * z**a * zb**b for (a, b), (re, im) in self.nums.items())
-        return num / (1.0 + (z * zb).real) ** r
-
     def eval_sphere_grid(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Values on the (cos-polar, azimuth) grid u x phi, poles included.
 
@@ -294,11 +282,6 @@ class CanonicalSymbol(ChartRational):
     @property
     def is_constant(self) -> bool:
         return self.denom_exp == 0 and set(self.nums) <= {(0, 0)}
-
-    def constant_value(self) -> QC:
-        if not self.is_constant:
-            raise ValueError("symbol is not constant")
-        return self.terms.get((0, 0), QC(0))
 
 
 def symbol(terms: Terms, denom_exp: int = 0) -> CanonicalSymbol:

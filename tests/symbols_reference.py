@@ -7,16 +7,22 @@ N/(1+z*zbar)^R, with terms a dict (a, b) -> QC whose insertion order is
 the order the floats are summed in.  It is kept only as an oracle for the
 property tests.
 
-It also holds the finite-difference oracle that pins the Hamiltonian phase,
+It also holds ``chart_value``, the float value of a ``ChartRational`` at a
+chart point or at ``INF``, which the pointwise oracles of the tests read,
+and the finite-difference oracle that pins the Hamiltonian phase,
 ``calibrate_hamiltonian_phase``, which reads no exact derivative at all.
 """
 
+import cmath
 import random
+from functools import partial
 from math import comb
 
 from btlab.errors import NotSmoothAtInfinity
 from btlab.exact import QC
 from btlab.symbols import random_real_symbol
+
+INF = complex(float("inf"), 0.0)  # the w = 0 point of the second chart
 
 
 def clean(terms):
@@ -129,6 +135,17 @@ def evaluate(f, z):
     return sum(complex(c) * z**a * zb**b for (a, b), c in terms.items()) / (1.0 + (z * zb).real) ** r
 
 
+def chart_value(f, z: complex) -> complex:
+    """The value of the ChartRational ``f`` at a finite chart point z, or at INF, summed in the order of ``f.nums``."""
+    z, den, r = complex(z), f.den, f.denom_exp
+    if cmath.isinf(z):
+        re, im = f.nums.get((r, r), (0, 0))
+        return complex(re / den, im / den)
+    zb = z.conjugate()
+    num = sum(complex(re / den, im / den) * z**a * zb**b for (a, b), (re, im) in f.nums.items())
+    return num / (1.0 + (z * zb).real) ** r
+
+
 def finite_diff_wirtinger(fn, z: complex, which: str, eps: float = 1e-6) -> complex:
     """d/dz or d/dzbar of ``fn`` at z, by central differences along the real and imaginary axes."""
     fx = (fn(z + eps) - fn(z - eps)) / (2 * eps)
@@ -146,7 +163,7 @@ def calibrate_hamiltonian_phase(seed: int = 0) -> QC:
     """
     rng = random.Random(seed)
     f = random_real_symbol(seed + 101, 2)
-    fn = f.evaluate
+    fn = partial(chart_value, f)
     candidates = {QC(0, -1): -1j, QC(0, 1): 1j}
     surviving = set(candidates)
     for _ in range(20):

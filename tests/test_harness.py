@@ -25,6 +25,7 @@ from btlab.cache import MatrixCache, default_cache_root, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
 from btlab.errors import CacheCorruption, ParseError, ValidationError
+from btlab.forkmap import fork_map
 from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, prequantum_geometric, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
 from btlab import operators, runner, semiclassics
@@ -860,6 +861,37 @@ def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
     )
     assert result.returncode == 3, result.stderr
     assert "internal error: worker process" in result.stderr
+
+
+def test_one_worker_forks_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("one worker started a process or opened a pipe")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "pipe", refuse)
+    calls = itertools.count()
+    assert fork_map(lambda x: x * x, [3, 1, 2], 1, lambda: next(calls)) == ([9, 1, 4], [0])
+    assert next(calls) == 1  # final() ran once
+
+    def boom(x):
+        raise KeyError(x)
+
+    with pytest.raises(KeyError, match="5"):
+        fork_map(boom, [5], 1, lambda: None)
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    src = Path(runner.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, btlab; "
+        "print(btlab.__version__, btlab.__file__, [m for m in sys.modules if m.startswith('btlab.') or m == 'numpy'])"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    version, path, loaded = result.stdout.split(" ", 2)
+    assert version == "0.1.0" and Path(path).resolve().parent == src / "btlab"
+    assert loaded.strip() == "[]"
 
 
 def test_pooled_counters_count_a_corrupt_file_once(tmp_path, monkeypatch):
