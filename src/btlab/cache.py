@@ -1,4 +1,4 @@
-"""On-disk matrix cache, keyed by (source hash, kind, level).
+"""On-disk matrix cache, keyed by (symbol, kind, level); ``symbol_hash`` names the files.
 
 Files are plain text: a header tagged with the format line
 ``btlab-matrix 4``, then a checksummed block holding the exact ``Kernel``:
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .errors import CacheCorruption
 from .operators import Kernel, OperatorMatrix, newton_cells, newton_column
-from .symbols import ChartRational
+from .symbols import CanonicalSymbol
 
 CACHE_ENV = "BTLAB_CACHE_DIR"
 _MAGIC = "btlab-matrix 4"
@@ -43,7 +43,7 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "btlab"
 
 
-def symbol_hash(f: ChartRational) -> str:
+def symbol_hash(f: CanonicalSymbol) -> str:
     """Stable content hash of a symbol's canonical representation."""
     parts = [f"R={f.denom_exp}", f"den={f.den}"]
     parts += (f"{a},{b}:{re}:{im}" for (a, b), (re, im) in sorted(f.nums.items()))
@@ -54,10 +54,11 @@ class MatrixCache:
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_root()
 
-    def path_for(self, source: str, kind: str, m: int) -> Path:
-        return self.root / f"{kind}-m{m}-{source[:32]}.mat"
+    def path_for(self, f: CanonicalSymbol, kind: str, m: int) -> Path:
+        return self.root / f"{kind}-m{m}-{symbol_hash(f)[:32]}.mat"
 
-    def store(self, mat: OperatorMatrix, source: str, kind: str) -> Path:
+    def store(self, mat: OperatorMatrix, f: CanonicalSymbol, kind: str) -> Path:
+        """Write the matrix of symbol f under its kind and level; the path of the file."""
         self.root.mkdir(parents=True, exist_ok=True)
         lines = [f"{d} {len(cells)} {_column(cells, 0)} {_column(cells, 1)}" for d, cells in mat.kernel.diags]
         block = "\n".join([f"den {mat.kernel.den}", *lines])
@@ -67,12 +68,12 @@ class MatrixCache:
                 _MAGIC,
                 f"kind {kind}",
                 f"m {mat.m}",
-                f"source {source}",
+                f"source {symbol_hash(f)}",
                 f"checksum {checksum}",
                 f"diagonals {len(lines)}",
             ]
         )
-        path = self.path_for(source, kind, mat.m)
+        path = self.path_for(f, kind, mat.m)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")  # one per writer: processes may store one key at once
         try:
             tmp.write_text(header + "\n" + block + "\n")
@@ -82,9 +83,9 @@ class MatrixCache:
             raise
         return path
 
-    def load(self, source: str, kind: str, m: int) -> OperatorMatrix | None:
-        """The cached matrix, or None on a cache miss."""
-        path = self.path_for(source, kind, m)
+    def load(self, f: CanonicalSymbol, kind: str, m: int) -> OperatorMatrix | None:
+        """The cached matrix of symbol f, kind and level m, or None on a cache miss."""
+        path = self.path_for(f, kind, m)
         if not path.exists():
             return None
         try:
@@ -95,7 +96,7 @@ class MatrixCache:
             for line in lines[1:5]:
                 key, _, value = line.partition(" ")
                 header[key] = value
-            expected = {"kind": kind, "m": str(m), "source": source}
+            expected = {"kind": kind, "m": str(m), "source": symbol_hash(f)}
             for key, want in expected.items():
                 if header.get(key) != want:
                     raise CacheCorruption(f"{path}: header {key} mismatch")

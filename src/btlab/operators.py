@@ -39,12 +39,13 @@ Householder steps are identities on it, and dlasq1 and dsterf then take
 absolute values and sort.  A product with it scales rows or columns, since
 each zgemm sum has one nonzero term; every product, by either way, then
 makes its exact zeros +0.0, whose sign the zgemm leaves to its kernel.  A
-tridiagonal operator (``bump``) whose off-diagonal entries of (A + A*)/2
-are each real or imaginary has its spectrum from the real eigensolver:
-zhetrd's steps on it are exact, and zheevd and dsyevd both end in dsterf.
-The norm and spectrum routes apply only where LAPACK does not scale its
-input first.  Every other SVD, eigensolve and product calls LAPACK or BLAS
-as before.
+spectrum is taken only of an operator whose exact adjoint is itself,
+``adjoint(x).kernel == x.kernel``.  A tridiagonal operator (``bump``) whose
+off-diagonal entries of (A + A*)/2 are each real or imaginary has its
+spectrum from the real eigensolver: zhetrd's steps on it are exact, and
+zheevd and dsyevd both end in dsterf.  The norm and spectrum routes apply
+only where LAPACK does not scale its input first; every other SVD,
+eigensolve and product calls LAPACK or BLAS.
 """
 
 from __future__ import annotations
@@ -288,26 +289,23 @@ def operator_norm(x) -> float:
 
 
 def hermitian_eigenvalues(x: OperatorMatrix) -> np.ndarray:
-    """Eigenvalues of (A + A*)/2 for a Hermitian A, ascending; a defect |A - A*| above 1e-9 relative raises.
+    """Eigenvalues of a self-adjoint operator, ascending; an operator whose exact adjoint is not itself raises.
 
-    A real diagonal operator gives its sorted diagonal.  A tridiagonal operator's defect is read on its three
-    diagonals and their mirrors, since it is 0.0 - 0.0 elsewhere, and it goes to the real eigensolver when each
-    subdiagonal entry of (A + A*)/2 is real or imaginary: dsterf reads that entry only squared or in absolute value.
+    A real diagonal operator gives its sorted diagonal, as it is self-adjoint by construction.  A tridiagonal
+    operator goes to the real eigensolver when each subdiagonal entry of (A + A*)/2 is real or imaginary: dsterf
+    reads that entry only squared or in absolute value.
     """
     d = _real_diagonal(x)
     if d is not None and _unscaled(d):
         return np.sort(d)
+    if adjoint(x).kernel != x.kernel:
+        raise ValueError("matrix is not Hermitian")
     arr = x.entries
-    band = _tridiagonal(x)
-    parts = [np.diagonal(arr, k) for k in (0, -1, 1)] if band else [arr]
-    mirrors = [np.diagonal(arr, -k).conj() for k in (0, -1, 1)] if band else [arr.conj().T]
-    defect = max(float(np.max(np.abs(p - q), initial=0.0)) for p, q in zip(parts, mirrors))
-    if defect > 1e-9 * max(1.0, *(float(np.max(np.abs(p), initial=0.0)) for p in parts)):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    if band:
-        diag, sub = ((p + q) / 2.0 for p, q in zip(parts[:2], mirrors[:2]))  # the lower triangle of (A + A*)/2
-        if ((sub.real == 0) | (sub.imag == 0)).all() and _unscaled(np.concatenate([diag.real, sub])):
-            real, i = np.diag(diag.real), np.arange(len(sub))
+    if _tridiagonal(x):
+        diag = np.diagonal(arr).real
+        sub = (np.diagonal(arr, -1) + np.diagonal(arr, 1).conj()) / 2.0  # the lower triangle of (A + A*)/2
+        if ((sub.real == 0) | (sub.imag == 0)).all() and _unscaled(np.concatenate([diag, sub])):
+            real, i = np.diag(diag), np.arange(len(sub))
             real[i + 1, i] = real[i, i + 1] = sub.real + sub.imag
             return np.linalg.eigvalsh(real)
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .cache import MatrixCache, symbol_hash
+from .cache import MatrixCache
 from .errors import CacheCorruption
 from .exact import QC
 from .forkmap import fork_map
@@ -66,17 +66,17 @@ NORM_CONTRACTION_TOL = 1e-9
 
 
 class Assembler:
-    """Cache-aware matrix factory and the run's one memo, keyed by (symbol hash, kind, level); a check that needs a
-    spectrum computes it from the memoized matrix.  It records the keys it assembled, loaded from the cache and found
-    corrupt; the counters are counted from those sets, so the union of several forked workers' sets counts as one
-    serial run does, even when two workers got the same key."""
+    """Cache-aware matrix factory and the run's one memo, keyed by (symbol, kind, level) with the symbol itself, which
+    compares by value; a check that needs a spectrum computes it from the memoized matrix.  It records the keys it
+    assembled, loaded from the cache and found corrupt; the counters are counted from those sets, so the union of
+    several forked workers' sets counts as one serial run does, even when two workers got the same key."""
 
     def __init__(self, cache: MatrixCache | None):
         self.cache = cache
-        self.assembled: set[tuple[str, str, int]] = set()
-        self.loaded: set[tuple[str, str, int]] = set()
-        self.corrupt: set[tuple[str, str, int]] = set()
-        self._memo: dict[tuple[str, str, int], OperatorMatrix] = {}
+        self.assembled: set[tuple[CanonicalSymbol, str, int]] = set()
+        self.loaded: set[tuple[CanonicalSymbol, str, int]] = set()
+        self.corrupt: set[tuple[CanonicalSymbol, str, int]] = set()
+        self._memo: dict[tuple[CanonicalSymbol, str, int], OperatorMatrix] = {}
 
     @property
     def assemblies(self) -> int:
@@ -91,13 +91,13 @@ class Assembler:
         return len(self.corrupt)
 
     def _get(self, f: CanonicalSymbol, m: int, kind: str, build) -> OperatorMatrix:
-        key = (symbol_hash(f), kind, m)
+        key = (f, kind, m)
         if key in self._memo:
             return self._memo[key]
         mat = None
         if self.cache is not None:
             try:
-                mat = self.cache.load(key[0], kind, m)
+                mat = self.cache.load(f, kind, m)
             except CacheCorruption as exc:
                 logging.getLogger("btlab").warning("%s; recomputing", exc)
                 self.corrupt.add(key)
@@ -105,7 +105,7 @@ class Assembler:
             mat = build(f, m)
             self.assembled.add(key)
             if self.cache is not None:
-                self.cache.store(mat, key[0], kind)
+                self.cache.store(mat, f, kind)
         else:
             self.loaded.add(key)
         self._memo[key] = mat

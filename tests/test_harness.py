@@ -251,8 +251,8 @@ def test_cache_roundtrip_is_exact(tmp_path):
     f = sphere_height()
     mat = toeplitz_exact(f, 8)
     cache = MatrixCache(tmp_path / "cache")
-    cache.store(mat, symbol_hash(f), "toeplitz")
-    again = cache.load(symbol_hash(f), "toeplitz", 8)
+    cache.store(mat, f, "toeplitz")
+    again = cache.load(f, "toeplitz", 8)
     assert again is not None
     assert np.max(np.abs(again.entries - mat.entries)) == 0.0
     assert again.kernel is not None and again.kernel == mat.kernel
@@ -260,7 +260,31 @@ def test_cache_roundtrip_is_exact(tmp_path):
 
 def test_cache_miss_returns_none(tmp_path):
     cache = MatrixCache(tmp_path / "cache")
-    assert cache.load("0" * 64, "toeplitz", 4) is None
+    assert cache.load(sphere_height(), "toeplitz", 4) is None
+
+
+# the bytes of the two files of the demo bump at level 4: a cache written before stays readable only while these hold
+BUMP_FILES = {
+    "toeplitz": "btlab-matrix 4\nkind toeplitz\nm 4\n"
+    "source 34612269e7cfb30b7c61f4fddd94b4be42e0184430d691f68a41ef063890d351\n"
+    "checksum ac79b78f2b4e1967820dce235c5cf3936fcef08696eaa66510c40411806a1cf7\n"
+    "diagonals 3\nden 504\n-1 4 0 -6,-12,-6\n0 5 160,-72,20 0\n1 4 0 24,3,-6\n",
+    "prequantum": "btlab-matrix 4\nkind prequantum\nm 4\n"
+    "source 34612269e7cfb30b7c61f4fddd94b4be42e0184430d691f68a41ef063890d351\n"
+    "checksum 2ea430ce43c9cac89469a44cb62c39f31aad949e11828cbc2114e128b2bf2a9d\n"
+    "diagonals 3\nden 1008\n-1 4 9,39,30 0\n0 5 0 464,-276,100\n1 4 -36,-36,30 0\n",
+}
+
+
+def test_cache_files_keep_their_names_and_bytes(tmp_path):
+    bump = parse_config(write_cfg(tmp_path, BUMP)).symbols["bump"]
+    cache = MatrixCache(tmp_path / "cache")
+    for kind, build in (("toeplitz", toeplitz_exact), ("prequantum", prequantum_geometric)):
+        mat = build(bump, 4)
+        path = cache.store(mat, bump, kind)
+        assert path.name == f"{kind}-m4-{symbol_hash(bump)[:32]}.mat"
+        assert path.read_text() == BUMP_FILES[kind]
+        assert cache.load(bump, kind, 4).kernel == mat.kernel
 
 
 def _set_first_value(lines: list[str], field: int, value) -> None:
@@ -289,16 +313,16 @@ def _rewrite_with_checksum(path: Path, edit) -> None:
 def test_cache_detects_tampering(tmp_path):
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
-    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    path = cache.store(toeplitz_exact(f, 4), f, "toeplitz")
     _tamper_first_entry(path)
     with pytest.raises(CacheCorruption):
-        cache.load(symbol_hash(f), "toeplitz", 4)
+        cache.load(f, "toeplitz", 4)
 
 
 def test_assembler_recovers_from_corruption(tmp_path, caplog):
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
-    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    path = cache.store(toeplitz_exact(f, 4), f, "toeplitz")
     _tamper_first_entry(path)
     asm = Assembler(cache)
     mat = asm.toeplitz(f, 4)
@@ -313,7 +337,7 @@ def _store_repeatedly(root: Path, start, times: int) -> None:
     cache = MatrixCache(root)
     start.wait()
     for _ in range(times):
-        cache.store(mat, symbol_hash(f), "toeplitz")
+        cache.store(mat, f, "toeplitz")
 
 
 def test_cache_writers_of_one_key_in_four_processes(tmp_path):
@@ -328,7 +352,7 @@ def test_cache_writers_of_one_key_in_four_processes(tmp_path):
     assert not any(writer.is_alive() for writer in writers)
     assert [writer.exitcode for writer in writers] == [0] * 4
     f = sphere_height()
-    again, fresh = MatrixCache(tmp_path / "cache").load(symbol_hash(f), "toeplitz", 16), toeplitz_exact(f, 16)
+    again, fresh = MatrixCache(tmp_path / "cache").load(f, "toeplitz", 16), toeplitz_exact(f, 16)
     assert again is not None and again.kernel == fresh.kernel
     assert np.array_equal(again.entries, fresh.entries)
     assert not list((tmp_path / "cache").glob("*.tmp"))
@@ -356,7 +380,7 @@ def test_a_failed_store_leaves_no_temp_file(tmp_path, monkeypatch, target, name,
     cache = MatrixCache(tmp_path / "cache")
     monkeypatch.setattr(target, name, failure)
     with pytest.raises(OSError):
-        cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+        cache.store(toeplitz_exact(f, 4), f, "toeplitz")
     monkeypatch.undo()
     assert list(cache.root.iterdir()) == []
 
@@ -365,7 +389,7 @@ def test_cache_clear_removes_the_temp_file_of_a_killed_writer(tmp_path):
     # a writer killed between its write and its rename, as fork_map's cleanup kills workers, leaves its temp file
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
-    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    path = cache.store(toeplitz_exact(f, 4), f, "toeplitz")
     path.with_name(f"{path.name}.4242.tmp").write_text(path.read_text()[:40])
     (cache.root / "notes.txt").write_text("not the cache's\n")
     assert cache.clear() == 1
@@ -376,7 +400,7 @@ def test_a_cache_file_has_about_the_same_size_at_every_level(tmp_path):
     # each diagonal is stored as its Newton column: R + 1 ints per part whatever the level, which only widen
     bump = parse_config(write_cfg(tmp_path, BUMP)).symbols["bump"]
     cache = MatrixCache(tmp_path / "cache")
-    small, large = (cache.store(toeplitz_exact(bump, m), symbol_hash(bump), "toeplitz") for m in (16, 1024))
+    small, large = (cache.store(toeplitz_exact(bump, m), bump, "toeplitz") for m in (16, 1024))
     assert large.stat().st_size <= 1.5 * small.stat().st_size
 
 
@@ -385,10 +409,10 @@ def test_cache_rejects_out_of_range_index(tmp_path):
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
     for d, n in [(5, 1), (-5, 1), (0, 6), (1, 5), (-4, 2), (0, 0), (0, -1)]:
-        path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+        path = cache.store(toeplitz_exact(f, 4), f, "toeplitz")
         _rewrite_with_checksum(path, lambda lines: lines.__setitem__(7, f"{d} {n} 1 0"))
         with pytest.raises(CacheCorruption, match="out of range"):
-            cache.load(symbol_hash(f), "toeplitz", 4)
+            cache.load(f, "toeplitz", 4)
 
 
 @pytest.mark.parametrize("value", ["1/0", "1/-2", "x", "", "1.5", "1/2"])
@@ -397,10 +421,10 @@ def test_cache_rejects_a_malformed_value(tmp_path, value):
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
     for field in range(4):
-        path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+        path = cache.store(toeplitz_exact(f, 4), f, "toeplitz")
         _rewrite_with_checksum(path, lambda lines: _set_first_value(lines, field, value))
         with pytest.raises(CacheCorruption):
-            cache.load(symbol_hash(f), "toeplitz", 4)
+            cache.load(f, "toeplitz", 4)
 
 
 def _scale_kernel(lines: list[str], factor: int) -> None:
@@ -432,10 +456,10 @@ def test_cache_rejects_a_kernel_that_is_not_canonical(tmp_path, edit):
     # a kernel a fresh assembly never gives, even when it holds the same rationals, is corrupt
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
-    path = cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz")
+    path = cache.store(toeplitz_exact(f, 4), f, "toeplitz")
     _rewrite_with_checksum(path, edit)
     with pytest.raises(CacheCorruption):
-        cache.load(symbol_hash(f), "toeplitz", 4)
+        cache.load(f, "toeplitz", 4)
 
 
 def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog, message: str) -> None:
@@ -443,7 +467,7 @@ def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog, m
     overwrites it."""
     mat = toeplitz_exact(f, m)
     with pytest.raises(CacheCorruption, match=message):
-        cache.load(symbol_hash(f), "toeplitz", m)
+        cache.load(f, "toeplitz", m)
     asm = Assembler(cache)
     with caplog.at_level(logging.WARNING, logger="btlab"):
         again = asm.toeplitz(f, m)
@@ -452,7 +476,7 @@ def _assert_recomputed_with_one_warning(cache: MatrixCache, f, m: int, caplog, m
     assert record.name == "btlab" and record.levelno == logging.WARNING
     assert message in record.getMessage() and record.getMessage().endswith("; recomputing")
     assert again.kernel == mat.kernel
-    assert cache.load(symbol_hash(f), "toeplitz", m).kernel == mat.kernel
+    assert cache.load(f, "toeplitz", m).kernel == mat.kernel
 
 
 def test_assembler_recomputes_float_format_file(tmp_path, caplog):
@@ -470,7 +494,7 @@ def test_assembler_recomputes_float_format_file(tmp_path, caplog):
         "entries 25",
     ]
     cache.root.mkdir(parents=True)
-    cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
+    cache.path_for(f, "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
     _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
 
 
@@ -490,7 +514,7 @@ def test_assembler_recomputes_a_format_3_file(tmp_path, caplog):
         f"entries {len(entries)}",
     ]
     cache.root.mkdir(parents=True)
-    cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
+    cache.path_for(f, "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
     _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
 
 
@@ -509,7 +533,7 @@ def test_assembler_recomputes_a_format_2_file(tmp_path, caplog):
         f"entries {len(kernel)}",
     ]
     cache.root.mkdir(parents=True)
-    cache.path_for(symbol_hash(f), "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
+    cache.path_for(f, "toeplitz", 4).write_text("\n".join(header) + "\n" + block + "\n")
     _assert_recomputed_with_one_warning(cache, f, 4, caplog, "bad magic line")
 
 
@@ -536,7 +560,7 @@ def test_assembler_recomputes_a_file_that_fails_a_load_check(tmp_path, caplog, e
     # each file is checksum-consistent, so only the load's own checks can reject it
     f = sphere_height()
     cache = MatrixCache(tmp_path / "cache")
-    _rewrite_with_checksum(cache.store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz"), edit)
+    _rewrite_with_checksum(cache.store(toeplitz_exact(f, 4), f, "toeplitz"), edit)
     _assert_recomputed_with_one_warning(cache, f, 4, caplog, message)
 
 
@@ -898,7 +922,7 @@ def test_pooled_counters_count_a_corrupt_file_once(tmp_path, monkeypatch):
     # both workers need every T_height; the key sets count each key once, as a serial run does
     _usable_cpus(monkeypatch, 2)
     f = sphere_height()
-    _tamper_first_entry(MatrixCache(tmp_path / "cache").store(toeplitz_exact(f, 4), symbol_hash(f), "toeplitz"))
+    _tamper_first_entry(MatrixCache(tmp_path / "cache").store(toeplitz_exact(f, 4), f, "toeplitz"))
     text = MINIMAL.replace("checks = norms", "checks = norms, spectrum, trace")
     cfg_path = write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16"))
     cold, code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "cold")
@@ -907,6 +931,23 @@ def test_pooled_counters_count_a_corrupt_file_once(tmp_path, monkeypatch):
     warm, code = run_experiment(parse_config(cfg_path), cache_root=tmp_path / "cache", out=tmp_path / "warm")
     assert code == 0
     assert warm.counters == {"assemblies": 0, "cache_hits": cold.counters["assemblies"], "cache_corruptions": 0}
+
+
+def test_a_cache_less_run_computes_no_digest(tmp_path, monkeypatch):
+    # the memo and its key sets hold the symbol itself; only a cache file name needs the symbol's digest
+    _usable_cpus(monkeypatch, 2)
+    cfg = parse_config(write_cfg(tmp_path, FULL.format(out=tmp_path / "out")))
+    want = runner.execute(cfg)
+
+    def refuse(f):
+        raise AssertionError("a symbol digest was computed")
+
+    monkeypatch.setattr("btlab.cache.symbol_hash", refuse)
+    monkeypatch.setattr("btlab.runner.symbol_hash", refuse, raising=False)  # a module that imports it binds its own
+    got = runner.execute(cfg)  # forked workers inherit the patch
+    assert got.versions["workers"] == 2
+    assert {n: c.tables for n, c in got.checks.items()} == {n: c.tables for n, c in want.checks.items()}
+    assert got.counters == want.counters
 
 
 def test_report_files_written(tmp_path):
@@ -1162,7 +1203,7 @@ def test_cache_dir_variable_sets_the_default_root(tmp_path, monkeypatch):
     monkeypatch.setenv("BTLAB_CACHE_DIR", str(root))
     assert default_cache_root() == root
     f = sphere_height()
-    MatrixCache().store(toeplitz_exact(f, 2), symbol_hash(f), "toeplitz")
+    MatrixCache().store(toeplitz_exact(f, 2), f, "toeplitz")
     result = CliRunner().invoke(main, ["cache", "clear"])
     assert result.exit_code == 0
     assert f"removed 1 cached matrices from {root}" in result.output

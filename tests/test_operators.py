@@ -257,7 +257,9 @@ def test_eigenvalues_sorted_and_hermiticity_guard():
     upper = OperatorMatrix(1, Kernel(1, {-1: [(1, 0)]}))  # the one entry (0, 1): [[0, 1], [0, 0]] at level 1
     assert np.array_equal(upper.entries, np.array([[0.0, 1.0], [0.0, 0.0]]))
     corner = OperatorMatrix(2, Kernel(1, {-2: [(1, 0)]}))  # the entry (0, 2) alone, off the band routes
-    for x in (upper, corner):
+    # [[0, 1 + 1e-12], [1, 0]]: a float defect of 1e-12, which no relative tolerance can tell from rounding
+    near = OperatorMatrix(1, Kernel(10**12, {1: [(10**12, 0)], -1: [(10**12 + 1, 0)]}))
+    for x in (upper, corner, near):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigenvalues(x)
 
