@@ -16,6 +16,7 @@ checksum or diagonal-count mismatch, a diagonal out of range for the level or
 given twice, a malformed value, a column longer than its diagonal, a kernel
 not in lowest terms or with a trailing zero cell, or a file in an older format
 raises CacheCorruption; callers recompute and overwrite.
+Only a process that looks up or stores a file imports ``hashlib`` (``_sha256_hex``).
 A store writes a temp file of its own and renames it into place, so
 processes that store one key at once leave one whole file; a store that
 fails removes its temp file, and ``clear`` removes those that a killed
@@ -24,7 +25,6 @@ writer left.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
@@ -43,11 +43,17 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "btlab"
 
 
+def _sha256_hex(text: str) -> str:
+    import hashlib  # here, off the common path: it loads OpenSSL (3.5 MiB), which a run with no disk cache never needs
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def symbol_hash(f: CanonicalSymbol) -> str:
     """Stable content hash of a symbol's canonical representation."""
     parts = [f"R={f.denom_exp}", f"den={f.den}"]
     parts += (f"{a},{b}:{re}:{im}" for (a, b), (re, im) in sorted(f.nums.items()))
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+    return _sha256_hex(";".join(parts))
 
 
 class MatrixCache:
@@ -62,7 +68,7 @@ class MatrixCache:
         self.root.mkdir(parents=True, exist_ok=True)
         lines = [f"{d} {len(cells)} {_column(cells, 0)} {_column(cells, 1)}" for d, cells in mat.kernel.diags]
         block = "\n".join([f"den {mat.kernel.den}", *lines])
-        checksum = hashlib.sha256(block.encode()).hexdigest()
+        checksum = _sha256_hex(block)
         header = "\n".join(
             [
                 _MAGIC,
@@ -101,7 +107,7 @@ class MatrixCache:
                 if header.get(key) != want:
                     raise CacheCorruption(f"{path}: header {key} mismatch")
             block = "\n".join(lines[6:])
-            if hashlib.sha256(block.encode()).hexdigest() != header.get("checksum"):
+            if _sha256_hex(block) != header.get("checksum"):
                 raise CacheCorruption(f"{path}: checksum mismatch")
             if len(lines) != 7 + int(lines[5].split()[1]):
                 raise CacheCorruption(f"{path}: diagonal count mismatch")

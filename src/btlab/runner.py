@@ -24,7 +24,6 @@ error, 3 internal error (the CLI maps exceptions to 2/3).
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from collections.abc import Callable
@@ -99,6 +98,8 @@ class Assembler:
             try:
                 mat = self.cache.load(f, kind, m)
             except CacheCorruption as exc:
+                import logging  # here, off the common path: only a corrupt cache file needs it
+
                 logging.getLogger("btlab").warning("%s; recomputing", exc)
                 self.corrupt.add(key)
         if mat is None:

@@ -63,8 +63,9 @@ class ConvergenceTable:
 
 def loglog_slope(table: ConvergenceTable) -> FitResult:
     """Least-squares slope of log(value) vs log(m) over the upper half of
-    the sweep.  Near-zero values are excluded; if fewer than two survive the
-    table is flagged as an exact identity, with no slope or intercept."""
+    the sweep, in closed form with ``math.fsum``, so no LAPACK call.  Near-zero
+    values are excluded; if fewer than two survive the table is flagged as an
+    exact identity, with no slope or intercept."""
     if len(table.records) < MIN_FIT_LEVELS:
         raise DegenerateTable(f"{table.name}: need >= {MIN_FIT_LEVELS} records, have {len(table.records)}")
     upper = table.records[len(table.records) // 2 :]
@@ -72,11 +73,13 @@ def loglog_slope(table: ConvergenceTable) -> FitResult:
     if len(pts) < 2:
         table.fit = FitResult(None, None, 0.0, len(pts), exact_identity=True)
         return table.fit
-    xs = np.log([m for m, _ in pts])
-    ys = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.sqrt(np.mean((slope * xs + intercept - ys) ** 2)))
-    table.fit = FitResult(float(slope), float(intercept), residual, len(pts))
+    xs, ys = [math.log(m) for m, _ in pts], [math.log(v) for _, v in pts]
+    x_bar, y_bar = math.fsum(xs) / len(pts), math.fsum(ys) / len(pts)
+    dxs = [x - x_bar for x in xs]
+    slope = math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
+    intercept = y_bar - slope * x_bar
+    residual = math.sqrt(math.fsum((slope * x + intercept - y) ** 2 for x, y in zip(xs, ys)) / len(pts))
+    table.fit = FitResult(slope, intercept, residual, len(pts))
     return table.fit
 
 

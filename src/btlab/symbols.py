@@ -160,8 +160,12 @@ class ChartRational:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
-    def __reduce__(self):
-        return type(self)._of, (self.den, self.nums, self.denom_exp)
+    def __reduce__(self):  # restored slot by slot: a pickled value is in its one form already, so nothing is reduced
+        return object.__new__, (type(self),), (self.den, self.nums, self.denom_exp)
+
+    def __setstate__(self, state):
+        for name, value in zip(ChartRational.__slots__, state):
+            object.__setattr__(self, name, value)
 
     # -- structure ---------------------------------------------------------
 

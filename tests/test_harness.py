@@ -918,6 +918,30 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert loaded.strip() == "[]"
 
 
+def test_a_run_with_no_disk_cache_loads_neither_hashlib_nor_logging(tmp_path):
+    # hashlib (OpenSSL) hashes cache files only and logging warns of a corrupt one only; pytest itself imports
+    # both, so a fresh process runs the lean path: execute plus write_report, as a run with no cache does
+    src = Path(runner.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    text = MINIMAL.replace("checks = norms", "checks = norms, dirac, trace, spectrum, tuynman")
+    cfg_path = write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16"))
+    probe = (
+        "import sys; from btlab import config, runner; "
+        "report = runner.execute(config.parse_config(sys.argv[1])); runner.write_report(report, sys.argv[2]); "
+        "print(report.status, [m for m in ('hashlib', '_hashlib', 'logging') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(cfg_path), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["pass", "[]"]
+    assert (tmp_path / "out" / "tables.csv").exists()
+
+
 def test_pooled_counters_count_a_corrupt_file_once(tmp_path, monkeypatch):
     # both workers need every T_height; the key sets count each key once, as a serial run does
     _usable_cpus(monkeypatch, 2)

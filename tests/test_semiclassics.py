@@ -2,13 +2,17 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assembly_reference import values
 from btlab.errors import DegenerateTable, UnknownCoefficientOrder
 from btlab.exact import QC
 from btlab.operators import compose_exact, hermitian_eigenvalues, lincomb_exact, toeplitz_exact, trace_exact
 from btlab.semiclassics import (
+    EXACT_ZERO_TOL,
     ConvergenceTable,
     dirac_defect,
     loglog_slope,
@@ -34,6 +38,42 @@ def test_slope_flags_exact_identities():
     table = ConvergenceTable("zeros", [(m, 0.0) for m in (8, 16, 32, 64)])
     fit = loglog_slope(table)
     assert fit.exact_identity and fit.slope is None and fit.intercept is None
+
+
+# a sweep's levels, each at least twice the last, and its values, some of them below EXACT_ZERO_TOL
+sweeps = st.lists(st.integers(0, 12), min_size=4, max_size=8, unique=True).flatmap(
+    lambda exps: st.lists(st.floats(1e-15, 1e3), min_size=len(exps), max_size=len(exps)).map(
+        lambda vals: list(zip((2**e for e in sorted(exps)), vals))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweeps)
+def test_slope_agrees_with_polyfit(records):
+    # np.polyfit is the oracle; near slope 0 the slope is compared absolutely, since both fits carry an
+    # absolute error of about eps |log v| / (spread of log m)
+    fit = loglog_slope(ConvergenceTable("t", records))
+    pts = [(m, v) for m, v in records[len(records) // 2 :] if v > EXACT_ZERO_TOL]
+    if len(pts) < 2:
+        assert fit.exact_identity and fit.slope is None and fit.intercept is None and fit.n_used == len(pts)
+        return
+    xs, ys = np.log([m for m, _ in pts]), np.log([v for _, v in pts])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    residual = np.sqrt(np.mean((slope * xs + intercept - ys) ** 2))
+    assert not fit.exact_identity and fit.n_used == len(pts)
+    assert abs(fit.slope - slope) <= 1e-12 * max(1.0, abs(slope))
+    assert abs(fit.intercept - intercept) <= 1e-12 and abs(fit.residual - residual) <= 1e-12
+
+
+def test_slope_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("loglog_slope called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    fit = loglog_slope(ConvergenceTable("c_over_m", [(m, 3.1 / m) for m in (8, 16, 32, 64)]))
+    assert abs(fit.slope + 1.0) < 1e-12 and fit.residual < 1e-12
 
 
 def test_slope_needs_enough_records():

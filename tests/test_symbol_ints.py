@@ -3,6 +3,8 @@
 key order and bit-equal ``chart_value`` floats, the stored pair is in lowest
 terms, and the cache file names of the demo symbols do not drift."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
@@ -14,6 +16,7 @@ import symbols_reference as ref
 from btlab.cache import symbol_hash
 from btlab.config import parse_symbols
 from btlab.errors import NotSmoothAtInfinity
+from btlab import symbols as symbols_module
 from btlab.exact import QC
 from btlab.symbols import CanonicalSymbol, ChartRational, reduce, wirtinger
 
@@ -137,3 +140,34 @@ def test_demo_symbols_keep_their_cache_file_names():
     symbols = parse_symbols(DEMO)
     assert symbol_hash(symbols["height"]) == "ee317858bffdf2d34e3e9cb47ce83012b3780bcc3bb7b6cd669054b5ea62a727"
     assert symbol_hash(symbols["bump"]) == "34612269e7cfb30b7c61f4fddd94b4be42e0184430d691f68a41ef063890d351"
+
+
+def assert_same_value(again: ChartRational, value: ChartRational) -> None:
+    assert type(again) is type(value)
+    assert again == value and hash(again) == hash(value)
+    assert (again.den, again.denom_exp) == (value.den, value.denom_exp)
+    assert list(again.nums.items()) == list(value.nums.items())  # sup_norm sums its floats in this order
+
+
+@properties
+@given(smooth, smooth)
+def test_a_pickled_symbol_comes_back_as_it_was(f, g):
+    # a product's keys need not be sorted, and a chart rational need not be canonical
+    for value in (CanonicalSymbol(*f) * CanonicalSymbol(*g), ChartRational(*f) * ChartRational(*g)):
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert_same_value(again, value)
+
+
+def test_unpickling_a_symbol_does_not_reduce_it_again(monkeypatch):
+    # the workers pickle their memo keys back to the calling process, which need not canonicalize them again
+    demo = parse_symbols(DEMO)
+    values = [*demo.values(), demo["bump"] * demo["height"], demo["bump"].conjugate()]
+    payload = pickle.dumps(values)
+    calls = []
+    monkeypatch.setattr(symbols_module, "_divide_one_plus_t", lambda nums: calls.append(nums))
+    again = pickle.loads(payload)
+    assert calls == []
+    for got, want in zip(again, values, strict=True):
+        assert_same_value(got, want)
+    CanonicalSymbol({(1, 1): QC(1)}, 1)  # the patch is live: constructing a symbol reduces it
+    assert calls == [{(1, 1): (1, 0)}]
