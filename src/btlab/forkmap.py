@@ -12,17 +12,16 @@ import os
 import pickle
 
 
-def fork_map(fn, items: list, workers: int, final) -> tuple[list, list]:
-    """``list(map(fn, items))`` over ``workers`` forked children, and each child's ``final()``.
+def fork_map(fn, items: list, workers: int) -> list:
+    """``list(map(fn, items))`` over ``workers`` forked children.
 
-    With one worker, ``fn`` runs over ``items`` in the calling process, which then calls ``final()`` once, so
-    ``fn``'s exceptions propagate unchanged.  Otherwise the children take item indices from one pipe.  Each sends
-    its results and ``final()`` back once, when the pipe is empty, then leaves through ``os._exit``.  A child's
-    exception is raised here with its type and message, a child that dies raises RuntimeError, and on every path
-    every child is reaped, killed first if it still runs.
+    With one worker, ``fn`` runs over ``items`` in the calling process, so its exceptions propagate unchanged.
+    Otherwise the children take item indices from one pipe.  Each sends its results back once, when the pipe is
+    empty, then leaves through ``os._exit``.  A child's exception is raised here with its type and message, a child
+    that dies raises RuntimeError, and on every path every child is reaped, killed first if it still runs.
     """
     if workers <= 1:
-        return list(map(fn, items)), [final()]
+        return list(map(fn, items))
     queue_r, queue_w = (os.fdopen(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
     children = {}  # pid -> the read end of its result pipe
     try:
@@ -38,9 +37,9 @@ def fork_map(fn, items: list, workers: int, final) -> tuple[list, list]:
                         while record := queue_r.read(4):
                             i = int.from_bytes(record, "little")
                             done[i] = fn(items[i])
-                        payload = pickle.dumps((done, final()))
+                        payload = pickle.dumps(done)
                     except Exception as exc:
-                        payload = pickle.dumps((exc, None))
+                        payload = pickle.dumps(exc)
                     with os.fdopen(out_w, "wb") as out:
                         out.write(payload)
                     code = 0
@@ -53,7 +52,7 @@ def fork_map(fn, items: list, workers: int, final) -> tuple[list, list]:
             for i in range(len(items)):
                 queue_w.write(i.to_bytes(4, "little"))  # one record per write, under PIPE_BUF, so never split
         queue_w.close()
-        results, finals = [None] * len(items), []
+        results = [None] * len(items)
         for pid in list(children):
             data = children[pid].read()
             status = os.waitpid(pid, 0)[1]
@@ -61,13 +60,12 @@ def fork_map(fn, items: list, workers: int, final) -> tuple[list, list]:
             if status != 0 or not data:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"worker process {pid} died ({f'signal {-code}' if code < 0 else f'exit {code}'})")
-            done, state = pickle.loads(data)
+            done = pickle.loads(data)
             if isinstance(done, Exception):
                 raise done
             for i, value in done.items():
                 results[i] = value
-            finals.append(state)
-        return results, finals
+        return results
     finally:
         queue_r.close()
         queue_w.close()

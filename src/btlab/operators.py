@@ -263,9 +263,10 @@ def _unscaled(values: np.ndarray) -> bool:
 
 
 def _real_diagonal(x: OperatorMatrix) -> np.ndarray | None:
-    """The float diagonal of an operator whose kernel lies on diagonal 0 alone and whose diagonal floats are
-    real (``height``, or any real U(1)-invariant symbol), else None."""
-    if all(d == 0 for d, _ in x.kernel.diags) and not x.diagonal.imag.any():
+    """The float diagonal of an operator whose kernel lies on diagonal 0 alone with every imaginary part exactly 0
+    (``height``, or any real U(1)-invariant symbol), else None.  The ints decide: an imaginary part below the float
+    range reads as 0.0 in the diagonal floats."""
+    if all(d == 0 and not any(im for _, im in cells) for d, cells in x.kernel.diags):
         return x.diagonal.real
     return None
 

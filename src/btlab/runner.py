@@ -14,7 +14,8 @@ largest level first, in config order within a level, with the no-level
 tasks last, so the costliest rows start at once.  They go through one
 ``fork_map`` call with n = min(number of tasks, usable CPUs) workers: n
 forked worker processes take them from one pipe, and with n = 1 the calling
-process is the one worker.  The calling process then runs the verdicts.
+process is the one worker.  The calling process then runs the verdicts,
+and counts the matrices that the tasks logged into the counters.
 The results, and so every byte written, are the same for every n.  A
 worker that dies makes the run raise.
 
@@ -66,28 +67,14 @@ NORM_CONTRACTION_TOL = 1e-9
 
 class Assembler:
     """Cache-aware matrix factory and the run's one memo, keyed by (symbol, kind, level) with the symbol itself, which
-    compares by value; a check that needs a spectrum computes it from the memoized matrix.  It records the keys it
-    assembled, loaded from the cache and found corrupt; the counters are counted from those sets, so the union of
-    several forked workers' sets counts as one serial run does, even when two workers got the same key."""
+    compares by value; a check that needs a spectrum computes it from the memoized matrix.  ``log`` grows by one
+    (key, "assembled" | "loaded" | "corrupt") entry for each matrix it assembles, loads from the cache or finds
+    corrupt there; ``execute`` counts the run's counters from the entries of every task."""
 
     def __init__(self, cache: MatrixCache | None):
         self.cache = cache
-        self.assembled: set[tuple[CanonicalSymbol, str, int]] = set()
-        self.loaded: set[tuple[CanonicalSymbol, str, int]] = set()
-        self.corrupt: set[tuple[CanonicalSymbol, str, int]] = set()
+        self.log: list[tuple[tuple[CanonicalSymbol, str, int], str]] = []
         self._memo: dict[tuple[CanonicalSymbol, str, int], OperatorMatrix] = {}
-
-    @property
-    def assemblies(self) -> int:
-        return len(self.assembled)
-
-    @property
-    def cache_hits(self) -> int:
-        return len(self.loaded - self.assembled)  # a key another worker assembled first is a memo hit serially
-
-    @property
-    def cache_corruptions(self) -> int:
-        return len(self.corrupt)
 
     def _get(self, f: CanonicalSymbol, m: int, kind: str, build) -> OperatorMatrix:
         key = (f, kind, m)
@@ -101,14 +88,14 @@ class Assembler:
                 import logging  # here, off the common path: only a corrupt cache file needs it
 
                 logging.getLogger("btlab").warning("%s; recomputing", exc)
-                self.corrupt.add(key)
+                self.log.append((key, "corrupt"))
         if mat is None:
             mat = build(f, m)
-            self.assembled.add(key)
+            self.log.append((key, "assembled"))
             if self.cache is not None:
                 self.cache.store(mat, f, kind)
         else:
-            self.loaded.add(key)
+            self.log.append((key, "loaded"))
         self._memo[key] = mat
         return mat
 
@@ -288,13 +275,8 @@ def _check_staraxioms(cfg: ExperimentConfig) -> CheckOutcome:
     for i in range(5):
         f, g, h = pool[i % len(pool)], pool[(i + 1) % len(pool)], pool[(i + 2) % len(pool)]
         rep = check_axioms(f, g, h)
-        details[f"triple{i}"] = {
-            "unit": rep.unit_ok,
-            "parity": rep.parity_ok,
-            "assoc_order1": rep.assoc_order1_ok,
-            "trace_antisym": rep.trace_antisym_ok,
-        }
-        ok = ok and rep.all_ok
+        details[f"triple{i}"] = rep
+        ok = ok and all(rep.values())
     return CheckOutcome("pass" if ok else "fail", [], details)
 
 
@@ -335,11 +317,12 @@ def _tasks(cfg: ExperimentConfig) -> list[tuple[str, int | None]]:
 
 
 def _run_task(cfg: ExperimentConfig, assembler: Assembler, task: tuple[str, int | None]) -> tuple:
-    """One task's value and its seconds, in the calling process or in a forked worker."""
+    """One task's value, its seconds and the entries it added to ``assembler.log``, in the calling process or in a
+    forked worker."""
     name, m = task
-    t0 = time.perf_counter()
+    start, t0 = len(assembler.log), time.perf_counter()
     value = CHECKS[name].base(cfg) if m is None else CHECKS[name].row(cfg, assembler, m)
-    return value, time.perf_counter() - t0
+    return value, time.perf_counter() - t0, assembler.log[start:]
 
 
 def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache | None = None) -> RunReport:
@@ -347,9 +330,11 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
 
     The checks run as ``_tasks``: one row task per (check, level) and one task for a check's work that needs no
     level, through one ``fork_map`` call with min(tasks, usable CPUs) workers; one worker is the calling process.
-    Each worker keeps the assembler it starts with as its memo and returns the keys it assembled, loaded and found
-    corrupt; the counters come from the union of those keys.  The verdicts, with their fits, run here.  The
-    report's calibration records the frozen conventions that the symbol layer uses.
+    Each worker keeps the assembler it starts with as its memo, and each task returns the log entries it added.
+    The counters count the keys of all those entries once each, so two workers that assembled or loaded the same
+    key count as a serial run does, where the second is a memo hit: hits are the keys loaded and never assembled.
+    The verdicts, with their fits, run here.  The report's calibration records the frozen conventions that the
+    symbol layer uses.
     """
     assembler = Assembler(cache)
     tasks = _tasks(cfg)
@@ -359,17 +344,13 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
     def run_task(task):  # any children are forked, so this closure is never pickled
         return _run_task(cfg, assembler, task)
 
-    results, key_sets = fork_map(
-        run_task, tasks, workers, lambda: (assembler.assembled, assembler.loaded, assembler.corrupt)
-    )
-    for assembled, loaded, corrupt in key_sets:
-        assembler.assembled |= assembled
-        assembler.loaded |= loaded
-        assembler.corrupt |= corrupt
     timings = dict.fromkeys(cfg.checks, 0.0)
     bases, rows = {}, {name: {} for name in cfg.checks}
-    for (name, m), (value, seconds) in zip(tasks, results):
+    keys = {"assembled": set(), "loaded": set(), "corrupt": set()}
+    for (name, m), (value, seconds, log) in zip(tasks, fork_map(run_task, tasks, workers)):
         timings[name] += seconds
+        for key, event in log:
+            keys[event].add(key)
         if m is None:
             bases[name] = value
         else:
@@ -395,9 +376,9 @@ def execute(cfg: ExperimentConfig, jobs: int | None = None, cache: MatrixCache |
         },
         checks=checks,
         counters={
-            "assemblies": assembler.assemblies,
-            "cache_hits": assembler.cache_hits,
-            "cache_corruptions": assembler.cache_corruptions,
+            "assemblies": len(keys["assembled"]),
+            "cache_hits": len(keys["loaded"] - keys["assembled"]),
+            "cache_corruptions": len(keys["corrupt"]),
         },
         timings=timings,
         status=status,
@@ -415,7 +396,6 @@ def run(
     ``jobs`` is accepted for old callers and ignored: ``execute`` sizes its worker count from its tasks and the
     usable CPUs.
     """
-    cache = MatrixCache(cache_root) if cache_root is not None else MatrixCache()
-    report = execute(cfg, cache=cache)
+    report = execute(cfg, cache=MatrixCache(cache_root))
     write_report(report, out if out is not None else cfg.output)
     return report, 0 if report.status == "pass" else 1

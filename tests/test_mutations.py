@@ -1,0 +1,84 @@
+"""Every check can fail: one named mutant per law, with the exact set of checks it fails.
+
+A mutant replaces one function on every module among ``runner``, ``semiclassics`` and ``starproduct`` that binds it
+by name, before ``execute`` runs the README demo symbols at m = 16..128.  The runs use one worker, the calling
+process: the verdicts are the same for every worker count, and forked workers that each start BLAS threads would
+only slow the suite.
+"""
+
+import os
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from btlab import runner, semiclassics, starproduct
+from btlab.config import parse_config
+from btlab.exact import QC
+from btlab.operators import operator_norm
+from btlab.symbols import average, poisson_bracket
+
+DEMO = Path(__file__).resolve().parents[1] / "bench" / "configs" / "demo.cfg"
+
+MUTANTS = {  # name -> (function name, its replacement, the checks it must fail)
+    "c1 -> 7fg": ("c1", lambda f, g: (f * g).scale(7), {"sass2", "staraxioms"}),
+    "laplacian -> 3f": ("laplacian", lambda f: f.scale(3), {"tuynman"}),
+    "{f,g} -> 2{f,g}": ("poisson_bracket", lambda f, g: poisson_bracket(f, g).scale(2), {"dirac"}),
+    "average -> 1.001 average": ("average", lambda f: QC(Fraction(1001, 1000)) * average(f), {"trace", "spectrum"}),
+    "norm -> norm/2": ("operator_norm", lambda x: operator_norm(x) / 2, {"norms"}),
+}
+
+
+@pytest.fixture(scope="module")
+def failed_checks(tmp_path_factory):
+    """The checks that fail under a mutant, each mutant run once per module."""
+    path = tmp_path_factory.mktemp("mutations") / "demo.cfg"
+    path.write_text(DEMO.read_text().replace("m_list = 16, 32, 64, 128, 256", "m_list = 16, 32, 64, 128"))
+    cfg = parse_config(path)
+    assert cfg.m_list == [16, 32, 64, 128]
+
+    @cache
+    def run(mutant: str | None) -> frozenset:
+        with pytest.MonkeyPatch.context() as patch:
+            if mutant is not None:
+                name, replacement, _ = MUTANTS[mutant]
+                bound = [module for module in (runner, semiclassics, starproduct) if hasattr(module, name)]
+                assert bound, name
+                for module in bound:
+                    patch.setattr(module, name, replacement)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            report = runner.execute(cfg)
+        assert report.versions["workers"] == 1
+        return frozenset(name for name, out in report.checks.items() if out.status != "pass")
+
+    return run
+
+
+def test_the_unmutated_demo_passes(failed_checks):
+    assert failed_checks(None) == set()
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        *(name for name in MUTANTS if name != "norm -> norm/2"),
+        pytest.param(
+            "norm -> norm/2",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="norms fails only when a norm exceeds sup|f|, so halved norms pass: ROADMAP item 11",
+            ),
+        ),
+    ],
+)
+def test_a_mutant_fails_exactly_its_checks(failed_checks, mutant):
+    assert failed_checks(mutant) == MUTANTS[mutant][2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="equivalence compares d1 with c1 plus its own b-correction, so it cannot fail: ROADMAP items 5 and 11",
+)
+def test_some_mutant_fails_the_equivalence_check(failed_checks):
+    assert any("equivalence" in failed_checks(mutant) for mutant in MUTANTS)

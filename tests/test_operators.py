@@ -264,6 +264,15 @@ def test_eigenvalues_sorted_and_hermiticity_guard():
             hermitian_eigenvalues(x)
 
 
+def test_a_diagonal_operator_with_an_imaginary_part_below_the_float_range_is_not_hermitian(height):
+    # (1 + i 10^-400) T_height: its diagonal floats are real, since 10^-400 underflows, but its exact adjoint is not it
+    t = toeplitz_exact(height.scale(QC(1, Fraction(1, 10**400))), 4)
+    assert not t.diagonal.imag.any() and adjoint(t).kernel != t.kernel
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(t)
+    assert operator_norm(t) == operator_norm(toeplitz_exact(height, 4))
+
+
 def test_band_routes_take_the_dense_call_where_they_cannot_match_it(monkeypatch):
     calls = []
 
