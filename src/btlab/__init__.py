@@ -10,7 +10,15 @@ density) to itself.
 
 Each public name has one import path, its module (``btlab.symbols``,
 ``btlab.operators``, ...); the package root holds only ``__version__``,
-so ``import btlab`` loads no submodule and no numpy.
+so ``import btlab`` loads no submodule and no numpy.  Unless numpy is
+loaded already, it pins BLAS to one thread: forked workers are the only
+parallelism, and LAPACK's bits do not change with the environment.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:  # BLAS reads its thread count once, when numpy loads it
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 __version__ = "0.1.0"

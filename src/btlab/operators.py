@@ -279,10 +279,10 @@ def _tridiagonal(x: OperatorMatrix) -> bool:
 def operator_norm(x) -> float:
     """Largest singular value of an operator or of a float array, such as a defect of float products; exactly
     0.0, with no SVD, for a zero matrix.  A real diagonal operator, or an empty kernel, gives max |a_jj| with no
-    SVD and no dense matrix."""
+    SVD and no dense matrix, except at m = 1, where zgesdd's 2 x 2 step can move the last bit."""
     if isinstance(x, OperatorMatrix):
         d = _real_diagonal(x)
-        if d is not None and _unscaled(d):
+        if d is not None and x.m != 1 and _unscaled(d):
             return float(np.max(np.abs(d)))
         x = x.entries
     arr = np.asarray(x, dtype=complex)

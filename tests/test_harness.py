@@ -84,6 +84,15 @@ def write_cfg(tmp_path: Path, text: str, name: str = "exp.cfg") -> Path:
     return path
 
 
+def _fresh_env(**overrides: str | None) -> dict:
+    """The environment of a fresh btlab process: this one's, with ``src`` on PYTHONPATH and the variables set to
+    the given values, or removed for None."""
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(overrides)
+    return {name: value for name, value in env.items() if value is not None}
+
+
 def _patch_check(monkeypatch, name: str, **fields) -> None:
     """Replace fields of one ``runner.CHECKS`` record for the test."""
     monkeypatch.setitem(runner.CHECKS, name, replace(runner.CHECKS[name], **fields))
@@ -873,15 +882,13 @@ def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
         runner.execute(parse_config(cfg_path))
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
-    src = str(Path(runner.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", _KILL_EVERY_NORMS_WORKER, "run", str(cfg_path), "--out", str(tmp_path / "out")]
         + ["--cache-root", str(tmp_path / "cache")],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_fresh_env(),
     )
     assert result.returncode == 3, result.stderr
     assert "internal error: worker process" in result.stderr
@@ -904,23 +911,57 @@ def test_one_worker_forks_nothing(monkeypatch):
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
     src = Path(runner.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = (
         "import sys, btlab; "
         "print(btlab.__version__, btlab.__file__, [m for m in sys.modules if m.startswith('btlab.') or m == 'numpy'])"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=_fresh_env())
     assert result.returncode == 0, result.stderr
     version, path, loaded = result.stdout.split(" ", 2)
     assert version == "0.1.0" and Path(path).resolve().parent == src / "btlab"
     assert loaded.strip() == "[]"
 
 
+def test_the_blas_variables_change_no_output_byte(tmp_path):
+    # importing btlab pins BLAS to one thread before numpy loads, whatever the environment says; LAPACK's last bits
+    # can change with the thread count, and m = 128 is where norms:bump and product:bump-height differ between one
+    # and two BLAS threads
+    demo = (Path(__file__).resolve().parent.parent / "bench" / "configs" / "demo.cfg").read_text()
+    cfg_path = write_cfg(tmp_path, demo.replace("m_list = 16, 32, 64, 128, 256", "m_list = 16, 32, 64, 128"))
+    files = {}
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"out-{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "btlab.cli", "run", str(cfg_path), "--out", str(out)]
+            + ["--cache-root", str(tmp_path / f"cache-{threads}")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_fresh_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert result.returncode == 0, result.stderr
+        versions = json.loads((out / "report.json").read_text())["versions"]
+        assert versions["OPENBLAS_NUM_THREADS"] == versions["OMP_NUM_THREADS"] == "1"
+        paths = [out / "tables.csv", *out.glob("plots/*")]
+        files[threads] = {path.relative_to(out): path.read_bytes() for path in paths}
+    assert files[None] == files["1"] == files["2"]
+    # numpy loaded first has read the variables already, so btlab leaves them as set and report.json records the
+    # values BLAS runs with
+    probe = "import os, numpy, btlab; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_fresh_env(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="3"),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["3", "3"]
+
+
 def test_a_run_with_no_disk_cache_loads_neither_hashlib_nor_logging(tmp_path):
     # hashlib (OpenSSL) hashes cache files only and logging warns of a corrupt one only; pytest itself imports
     # both, so a fresh process runs the lean path: execute plus write_report, as a run with no cache does
-    src = Path(runner.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     text = MINIMAL.replace("checks = norms", "checks = norms, dirac, trace, spectrum, tuynman")
     cfg_path = write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16"))
     probe = (
@@ -933,7 +974,7 @@ def test_a_run_with_no_disk_cache_loads_neither_hashlib_nor_logging(tmp_path):
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_fresh_env(),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["pass", "[]"]

@@ -295,7 +295,9 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(x).tobytes()
 
 
+# At m = 1 zgesdd's 2 x 2 step can move the last bit of max |a_jj|, so the norm there runs the SVD.
 @properties
+@example(symbol({(0, 0): QC(Fraction(10, 3)), (1, 1): QC(Fraction(18, 7))}, 1), symbol({}, 1), 1)
 @given(diagonal_symbols(), tridiagonal_symbols(), band_levels)
 def test_diagonal_routes_give_the_dense_bits(f, g, m):
     t, u = toeplitz_exact(f, m), toeplitz_exact(g, m)
@@ -306,7 +308,7 @@ def test_diagonal_routes_give_the_dense_bits(f, g, m):
     assert _bits(matmul(t, u)) == _bits(dense @ u.entries + 0.0)  # every exact zero is +0.0 on both ways
     assert _bits(matmul(u, t)) == _bits(u.entries @ dense + 0.0)
     assert _bits(t.diagonal.sum()) == _bits(np.trace(dense))
-    assert "entries" not in vars(t)  # no dense matrix, so no LAPACK or BLAS call on it either
+    assert m == 1 or "entries" not in vars(t)  # no dense matrix, so no LAPACK or BLAS call on it either
 
 
 @properties
