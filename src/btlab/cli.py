@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .cache import CACHE_ENV, MatrixCache, default_cache_root
-from .config import BUILTIN_SYMBOLS, check_slope_window, parse_config, parse_symbols
-from .errors import ParseError, ValidationError
+from .config import BUILTIN_SYMBOLS, parse_config, parse_symbols
+from .errors import ValidationError
 from .operators import prequantum_geometric, toeplitz_exact
 from .runner import run as run_experiment
 
@@ -32,15 +32,12 @@ def main():
 @main.command("run")
 @click.argument("config_path", type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Report directory (overrides config).")
-@click.option("--tolerance-slope", type=float, default=None, help="Slope window (overrides config).")
 @click.option("--cache-root", type=click.Path(), default=None, help=f"Cache directory (default ${CACHE_ENV} or ~/.cache/btlab).")
-def run_cmd(config_path, out, tolerance_slope, cache_root):
+def run_cmd(config_path, out, cache_root):
     """Execute the checks described in CONFIG_PATH and write reports."""
     try:
         cfg = parse_config(config_path)
-        if tolerance_slope is not None:
-            cfg.slope_window = check_slope_window(tolerance_slope)
-    except (ParseError, ValidationError) as exc:
+    except ValidationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         raise SystemExit(2)
     try:
@@ -79,7 +76,7 @@ def assemble(name, m, config_path, kind):
             raise ValidationError(
                 f"unknown symbol {name!r}; builtins: {', '.join(sorted(BUILTIN_SYMBOLS))} (or pass --config)"
             )
-    except (ParseError, ValidationError) as exc:
+    except ValidationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         raise SystemExit(2)
     try:

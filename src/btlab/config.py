@@ -13,7 +13,7 @@ Grammar (see README for a complete example)::
     identity_tol = 1e-10        # accepted for old configs, not read
     output = runs/smoke         # optional report directory
 
-    [symbol bump]               # one section per named symbol
+    [symbol bump]               # one section per named symbol; a name is [A-Za-z0-9_.]+
     R = 2
     terms =
         0 0 1 2 0 1             # a b re_num re_den im_num im_den
@@ -23,17 +23,23 @@ Each ``terms`` line is one numerator monomial z^a zbar^b with coefficient
 re_num/re_den + i*im_num/im_den; the symbol is N/(1+z*zbar)^R.  The
 trailing ``#`` notes above annotate the grammar: in a config file a
 comment must stand on a line of its own.
+
+A symbol name goes into ``check:table`` labels, ``check_table.dat`` file
+names and ``-``-joined pair labels, so letters, digits, ``_`` and ``.`` keep
+each one safe and unambiguous.  Every default lives in ``parse_config``, and
+every config error raises ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import NotSmoothAtInfinity, ParseError, ValidationError
+from .errors import NotSmoothAtInfinity, ValidationError
 from .exact import QC
 from .runner import CHECKS
 from .semiclassics import MIN_FIT_LEVELS
@@ -67,9 +73,9 @@ class ExperimentConfig:
     m_list: list[int]
     symbols: dict[str, CanonicalSymbol]
     active: list[str]
-    seed: int = 0
-    slope_window: float = 0.15
-    output: Path = field(default_factory=lambda: Path("runs/experiment"))
+    seed: int
+    slope_window: float
+    output: Path
 
     def active_symbols(self) -> list[tuple[str, CanonicalSymbol]]:
         return [(name, self.symbols[name]) for name in self.active]
@@ -106,11 +112,11 @@ def _read(path: Path) -> configparser.ConfigParser:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ParseError(str(exc)) from exc
+        raise ValidationError(str(exc)) from exc
     return parser
 
 
@@ -121,9 +127,9 @@ def _symbol_sections(parser: configparser.ConfigParser) -> dict[str, CanonicalSy
             continue
         if not section.startswith("symbol "):
             raise ValidationError(f"unexpected section [{section}]; expected [experiment] or [symbol <name>]")
-        name = section[len("symbol ") :].strip()
-        if not name:
-            raise ValidationError("symbol section needs a name: [symbol <name>]")
+        name = section[len("symbol ") :]
+        if not re.fullmatch(r"[A-Za-z0-9_.]+", name):
+            raise ValidationError(f"[{section}]: symbol section needs a name of letters, digits, '_' and '.' only")
         body = parser[section]
         unknown = set(body) - {"r", "terms"}
         if unknown:
@@ -147,13 +153,6 @@ def parse_symbols(path: str | Path) -> dict[str, CanonicalSymbol]:
     return _symbol_sections(_read(Path(path)))
 
 
-def check_slope_window(window: float) -> float:
-    """``window`` if it is a finite number >= 0; the one check for the config key and the CLI flag."""
-    if not (math.isfinite(window) and window >= 0):
-        raise ValidationError(f"slope_window must be finite and nonnegative, got {window}")
-    return window
-
-
 def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     parser = _read(path)
@@ -171,7 +170,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             f"manifold {manifold!r} is not supported; supported manifolds: {', '.join(SUPPORTED_MANIFOLDS)}"
         )
 
-    checks = _split_list(exp.get("checks", ""))
+    checks = list(dict.fromkeys(_split_list(exp.get("checks", ""))))  # a check named twice runs once
     if not checks:
         raise ValidationError("[experiment]: checks must be a nonempty list")
     bad = [c for c in checks if c not in CHECKS]
@@ -201,9 +200,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     try:
         seed = int(exp.get("seed", "0"))
-        slope_window = check_slope_window(float(exp.get("slope_window", "0.15")))
+        slope_window = float(exp.get("slope_window", "0.15"))
     except ValueError as exc:
         raise ValidationError(f"[experiment]: {exc}") from exc
+    if not (math.isfinite(slope_window) and slope_window >= 0):
+        raise ValidationError(f"slope_window must be finite and nonnegative, got {slope_window}")
 
     name = exp.get("name", path.stem)
     slope_checks = [c for c in checks if CHECKS[c].fits]

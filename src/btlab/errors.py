@@ -17,12 +17,8 @@ class DegenerateTable(ValueError):
     """A convergence table has too few usable records for a fit."""
 
 
-class ParseError(ValueError):
-    """An experiment config file could not be parsed."""
-
-
 class ValidationError(ValueError):
-    """An experiment config parsed but failed semantic validation."""
+    """A config file could not be read, parsed or validated, or names no such symbol: the CLI's exit 2."""
 
 
 class CacheCorruption(RuntimeError):

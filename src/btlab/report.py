@@ -2,13 +2,13 @@
 
     report.json   -- the RunReport, as dataclasses.asdict gives it, in strict JSON
     tables.csv    -- every convergence table as rows (check, m, value)
-    plots/*.dat   -- one two-column gnuplot file per table; the .dat files of an
-                     earlier run into the same directory are removed first
+    plots/*.dat   -- one two-column gnuplot file per table, check_table.dat; the
+                     .dat files of an earlier run into the same directory are
+                     removed first; ``config`` admits only file-safe names
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -36,10 +36,6 @@ class RunReport:
     status: str
 
 
-def _safe_label(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
-
-
 def write_report(report: RunReport, outdir: Path) -> None:
     import json
 
@@ -63,7 +59,7 @@ def write_report(report: RunReport, outdir: Path) -> None:
         stale.unlink()
     for check_name, outcome in report.checks.items():
         for table in outcome.tables:
-            label = _safe_label(f"{check_name}_{table.name}")
+            label = f"{check_name}_{table.name}"
             lines = [f"# {check_name}:{table.name}", "# m value"]
             lines += [f"{m} {v:.17g}" for m, v in table.records]
             (plots / f"{label}.dat").write_text("\n".join(lines) + "\n")

@@ -311,9 +311,8 @@ def _tasks(cfg: ExperimentConfig) -> list[tuple[str, int | None]]:
 
     The costliest rows are those of the largest level, so they start first and the workers finish close together.
     """
-    checks = list(dict.fromkeys(cfg.checks))
-    rows = [(name, m) for m in reversed(cfg.m_list) for name in checks if CHECKS[name].row]
-    return rows + [(name, None) for name in checks if CHECKS[name].base]
+    rows = [(name, m) for m in reversed(cfg.m_list) for name in cfg.checks if CHECKS[name].row]
+    return rows + [(name, None) for name in cfg.checks if CHECKS[name].base]
 
 
 def _run_task(cfg: ExperimentConfig, assembler: Assembler, task: tuple[str, int | None]) -> tuple:

@@ -291,13 +291,9 @@ terms =
 
     runner = CliRunner()
     ok = ok and runner.invoke(cli_main, ["run", str(cfg_path), "--cache-root", str(cache_root)]).exit_code == 0
-    ok = (
-        ok
-        and runner.invoke(
-            cli_main, ["run", str(cfg_path), "--cache-root", str(cache_root), "--tolerance-slope", "0"]
-        ).exit_code
-        == 1
-    )
+    strict_path = tmp_path / "strict.cfg"  # with no slope window the dirac slope misses -1
+    strict_path.write_text(cfg_text.format(out=tmp_path / "out").replace("seed = 3", "seed = 3\nslope_window = 0"))
+    ok = ok and runner.invoke(cli_main, ["run", str(strict_path), "--cache-root", str(cache_root)]).exit_code == 1
     bad_path = tmp_path / "bad.cfg"
     bad_path.write_text(cfg_text.format(out=tmp_path / "out").replace("cp1", "cp7"))
     ok = ok and runner.invoke(cli_main, ["run", str(bad_path)]).exit_code == 2

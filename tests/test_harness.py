@@ -24,7 +24,7 @@ from assembly_reference import nonzeros, values
 from btlab.cache import MatrixCache, default_cache_root, symbol_hash
 from btlab.cli import main
 from btlab.config import parse_config
-from btlab.errors import CacheCorruption, ParseError, ValidationError
+from btlab.errors import CacheCorruption, ValidationError
 from btlab.forkmap import fork_map
 from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm, prequantum_geometric, toeplitz_exact
 from btlab.runner import Assembler, run as run_experiment
@@ -76,6 +76,15 @@ terms =
     1 0 1 2 0 1
     0 1 1 2 0 1
 """
+
+
+# a section [symbol a b] before MINIMAL's height, renamed a_b: two names that one plot file name would serve
+SPACED_AND_JOINED = """[symbol a b]
+R = 0
+terms =
+    0 0 1 1 0 1
+
+[symbol a_b]"""
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "exp.cfg") -> Path:
@@ -164,11 +173,14 @@ def test_parse_rejects_bad_terms_line(tmp_path):
         ("m_list = 2, 4, 8", "m_list =", "m_list must be nonempty"),
         (MINIMAL[MINIMAL.index("[symbol") :], "", "no symbols defined"),
         ("checks = norms", "checks = norms\nsymbols = height, height", r"duplicate symbol name\(s\) \['height'\]"),
+        ("[symbol height]", "[symbol a,b]", r"\[symbol a,b\]: symbol section needs a name of letters"),
+        ("[symbol height]", "[symbol a-b]", r"\[symbol a-b\]: symbol section needs a name of letters"),
+        ("[symbol height]", SPACED_AND_JOINED, r"\[symbol a b\]: symbol section needs a name of letters"),
     ],
     ids=[
         "terms-value", "terms-zero-den", "negative-exponent", "duplicate-monomial", "bad-section", "unnamed-symbol",
         "symbol-key", "experiment-key", "R-value", "negative-R", "no-experiment", "m_list-value", "empty-m_list",
-        "no-symbols", "duplicate-symbol",
+        "no-symbols", "duplicate-symbol", "comma-name", "dash-name", "space-and-underscore-names",
     ],
 )
 def test_parse_rejects_a_malformed_config(tmp_path, old, new, message):
@@ -220,6 +232,11 @@ def test_the_records_say_which_checks_need_four_levels_or_real_symbols(tmp_path,
     assert parse_config(write_cfg(tmp_path, short)).checks == ["trace"]
 
 
+def test_parse_keeps_the_first_of_a_check_named_twice(tmp_path):
+    text = MINIMAL.replace("checks = norms", "checks = trace, norms, trace")
+    assert parse_config(write_cfg(tmp_path, text)).checks == ["trace", "norms"]
+
+
 @pytest.mark.parametrize("window", ["-1", "nan", "inf"])
 def test_parse_rejects_a_slope_window_that_is_negative_or_not_finite(tmp_path, window):
     bad = MINIMAL.replace("checks = norms", f"checks = norms\nslope_window = {window}")
@@ -244,12 +261,12 @@ def test_readme_demo_config_parses_with_real_symbols(tmp_path):
 
 
 def test_parse_rejects_ini_syntax_garbage(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         parse_config(write_cfg(tmp_path, "not an ini file at all\n===\n"))
 
 
 def test_parse_missing_file(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="cannot read"):
         parse_config(tmp_path / "absent.cfg")
 
 
@@ -1054,24 +1071,21 @@ def test_cli_run_exit_zero(tmp_path):
 
 def test_cli_run_exit_one_on_failed_check(tmp_path):
     # with no slope window the pre-asymptotic dirac slope (about -0.91 over m = 32, 64) misses -1
-    text = FULL.format(out=tmp_path / "out")
+    text = FULL.format(out=tmp_path / "out").replace("seed = 7", "seed = 7\nslope_window = 0")
     cfg_path = write_cfg(tmp_path, text)
     runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["run", str(cfg_path), "--cache-root", str(tmp_path / "cache"), "--tolerance-slope", "0"],
-    )
+    result = runner.invoke(main, ["run", str(cfg_path), "--cache-root", str(tmp_path / "cache")])
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("window", ["-1", "nan", "inf"])
-def test_cli_run_rejects_a_slope_window_that_is_negative_or_not_finite(tmp_path, window):
-    text = MINIMAL.replace("m_list = 2, 4, 8", f"m_list = 2, 4, 8\noutput = {tmp_path / 'out'}")
-    args = ["run", str(write_cfg(tmp_path, text)), "--cache-root", str(tmp_path / "cache")]
-    result = CliRunner().invoke(main, [*args, "--tolerance-slope", window])
+def test_cli_run_rejects_two_symbol_names_that_would_share_a_plot_file(tmp_path):
+    # "a b" and "a_b" would both write plots/norms_a_b.dat; the name grammar rejects the first before any work
+    text = MINIMAL.replace("[symbol height]", SPACED_AND_JOINED)
+    text = text.replace("m_list = 2, 4, 8", f"m_list = 2, 4, 8\noutput = {tmp_path / 'out'}")
+    result = CliRunner().invoke(main, ["run", str(write_cfg(tmp_path, text)), "--cache-root", str(tmp_path / "cache")])
     assert result.exit_code == 2
-    assert "configuration error: slope_window must be finite and nonnegative" in result.output
-    assert not (tmp_path / "out").exists()
+    assert "configuration error: [symbol a b]: symbol section needs a name" in result.output
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
 def test_cli_run_exit_two_on_config_error(tmp_path):
