@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateTable, UnknownCoefficientOrder
+from .errors import DegenerateTable
 from .exact import QC
 from .operators import (
     OperatorMatrix,
@@ -26,7 +26,6 @@ from .operators import (
     prequantum_geometric,
     toeplitz_exact,
 )
-from .starproduct import c1
 from .symbols import CanonicalSymbol, average, laplacian, poisson_bracket
 
 EXACT_ZERO_TOL = 1e-13
@@ -102,23 +101,11 @@ def sass_remainder(
     m: int,
     toeplitz=toeplitz_exact,
 ) -> float:
-    """|| T_f T_g - sum_{j<N} m^-j T_{coeffs[j]} || for N = len(coeffs) <= 2."""
-    n = len(coeffs)
-    if n > 2:
-        raise UnknownCoefficientOrder(f"remainder order {n} needs unavailable coefficients")
+    """|| T_f T_g - sum_{j<N} m^-j T_{coeffs[j]} || for N = len(coeffs), the coefficients C_j(f, g) it is given."""
     acc = matmul(toeplitz(f, m), toeplitz(g, m))
     for j, cj in enumerate(coeffs):
         acc = acc - float(m) ** (-j) * toeplitz(cj, m).entries
     return operator_norm(acc)
-
-
-def product_coefficients(f: CanonicalSymbol, g: CanonicalSymbol, order: int) -> list[CanonicalSymbol]:
-    """[c0(f,g)] or [c0(f,g), c1(f,g)] for use in sass_remainder."""
-    if order == 1:
-        return [f * g]
-    if order == 2:
-        return [f * g, c1(f, g)]
-    raise UnknownCoefficientOrder(f"no closed-form coefficients beyond order 2 (got {order})")
 
 
 def tuynman_difference(

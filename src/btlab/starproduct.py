@@ -1,17 +1,19 @@
 """Truncated formal star products and their exact symbolic identities.
 
-Two deformations of the pointwise product are available through the
-coefficients known in closed form on this geometry:
+Each star-product law is defined once here.  ``coefficient(k, f, g)`` gives
+the Toeplitz coefficients known in closed form on this geometry:
 
-    c0(f, g) = f * g
-    c1(f, g) = -(1+t)^2 (df/dz)(dg/dzbar)              (Toeplitz product)
+    C_0(f, g) = f * g
+    C_1(f, g) = c1(f, g) = -(1+t)^2 (df/dz)(dg/dzbar)
+    C_k(f, g) = 0 for k >= 2 when f or g is constant
+
+and raises UnknownCoefficientOrder for any other C_k instead of fabricating
+it.  The geometric product replaces C_1 by
+
     d1(f, g) = c1(f, g) + (Delta(fg) - Delta(f) g - f Delta(g))/2
-                                                        (geometric product)
 
 The series map b(f) = f - nu*Delta(f)/2 intertwines the two products; its
 inverse is the truncated Neumann series id + sum_k nu^k Delta^k / 2^k.
-Coefficients of order >= 2 are not available and any request that needs
-one raises UnknownCoefficientOrder instead of fabricating it.
 """
 
 from __future__ import annotations
@@ -76,41 +78,39 @@ def d1(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
     return c1(f, g) + correction
 
 
-def _coeff_map(order_one, k: int, f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
+def coefficient(k: int, f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
+    """C_k(f, g) of the Toeplitz star product: fg, then c1(f, g), then 0 when f or g is constant (the unit law and
+    bilinearity); any other order raises UnknownCoefficientOrder."""
     if k == 0:
         return f * g
     if k == 1:
-        return order_one(f, g)
-    # C_k(c, g) = C_k(g, c) = 0 for constants by bilinearity and the unit law.
+        return c1(f, g)
     if f.is_constant or g.is_constant:
         return constant(0)
     raise UnknownCoefficientOrder(f"coefficient of order {k} is not available")
 
 
-def _star(fs: FormalSeries, gs: FormalSeries, order_one) -> FormalSeries:
-    order = min(fs.order, gs.order)
-    if order > 2:
-        raise UnknownCoefficientOrder(f"truncation order {order} exceeds the known coefficients")
+def _star(fs: FormalSeries, gs: FormalSeries, coeff) -> FormalSeries:
     out = []
-    for n in range(order + 1):
+    for n in range(min(fs.order, gs.order) + 1):
         term = constant(0)
         for k in range(n + 1):
             for i in range(n - k + 1):
-                term = term + _coeff_map(order_one, k, fs.coeff(i), gs.coeff(n - k - i))
+                term = term + coeff(k, fs.coeff(i), gs.coeff(n - k - i))
         out.append(term)
     return FormalSeries(tuple(out))
 
 
 def star_bt(fs: FormalSeries, gs: FormalSeries) -> FormalSeries:
     """Toeplitz star product, truncated at the lower of the two operand orders:
-    Cauchy product over c0, c1."""
-    return _star(fs, gs, c1)
+    Cauchy product over ``coefficient``."""
+    return _star(fs, gs, coefficient)
 
 
 def star_geometric(fs: FormalSeries, gs: FormalSeries) -> FormalSeries:
     """Geometric-quantization star product, truncated at the lower of the two
-    operand orders: Cauchy product over d0, d1."""
-    return _star(fs, gs, d1)
+    operand orders: Cauchy product over ``coefficient`` with d1 at order 1."""
+    return _star(fs, gs, lambda k, f, g: d1(f, g) if k == 1 else coefficient(k, f, g))
 
 
 def b_map(fs: FormalSeries) -> FormalSeries:
@@ -135,29 +135,26 @@ def b_inverse(fs: FormalSeries) -> FormalSeries:
     return FormalSeries(tuple(out))
 
 
-def check_equivalence(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
-    """nu^1 coefficient of b(f) * b(g) - b(f *_G g); the zero symbol iff the
-    two star products are intertwined by b at first order.
+def check_equivalence(f: CanonicalSymbol, g: CanonicalSymbol) -> dict[str, bool]:
+    """The exact equivalence laws on one (f, g) pair, by name: the nu^1 coefficient of b(f) * b(g) - b(f *_G g) is
+    zero, and b_inverse(b_map) is the identity on f to order 2.
 
-    It is zero for every c1 and every linear Laplacian: d1 is defined as c1
-    plus the b-correction (Delta(fg) - Delta(f) g - f Delta(g))/2, which is
-    what makes this coefficient vanish.  So the check cannot fail; it checks
-    no relation between the two quantizations (that needs the level-m
-    geometric product)."""
+    The first catches a C_0 that is not the pointwise product, since the
+    b-correction in d1 assumes it is; but no error in c1 or in a linear
+    Laplacian, since d1 is c1 plus that correction.  The round trip holds for
+    any linear Laplacian.  A check that relates the two quantizations needs
+    the level-m geometric product."""
     lhs = star_bt(b_map(FormalSeries.of(f, 1)), b_map(FormalSeries.of(g, 1)))
     rhs = b_map(star_geometric(FormalSeries.of(f, 1), FormalSeries.of(g, 1)))
-    return (lhs - rhs).coeff(1)
+    series = FormalSeries.of(f, 2)
+    return {"nu1_defect_zero": (lhs - rhs).coeff(1).is_zero, "b_roundtrip": b_inverse(b_map(series)) == series}
 
 
 def check_axioms(f: CanonicalSymbol, g: CanonicalSymbol, h: CanonicalSymbol) -> dict[str, bool]:
-    """The exact star-product axioms on one (f, g, h) triple, by name: the unit law, parity, associativity at
-    order 1 and the trace property of c1."""
+    """The exact star-product axioms on one (f, g, h) triple, by name: the unit law c1(1, g) = c1(g, 1) = 0, parity,
+    associativity at order 1 and the trace property of c1."""
     one = constant(1)
-    unit_ok = (
-        c1(one, g).is_zero
-        and c1(g, one).is_zero
-        and star_bt(FormalSeries.of(one, 1), FormalSeries.of(g, 1)) == FormalSeries.of(g, 1)
-    )
+    unit_ok = c1(one, g).is_zero and c1(g, one).is_zero
     c1_fg = c1(f, g)
     parity_ok = c1_fg.conjugate() == c1(g.conjugate(), f.conjugate())
     assoc_ok = f * c1(g, h) + c1(f, g * h) == c1_fg * h + c1(f * g, h)
@@ -178,8 +175,8 @@ class TraceSeries:
 
 
 def tau(f: CanonicalSymbol, j: int) -> QC:
-    """Trace-expansion coefficients: tau_0 = tau_1 = average(f) here, since
-    the matrix trace is exactly (m+1) * average(f) at every level."""
+    """Trace-expansion coefficients: tau_0 = tau_1 = average(f) here; the trace
+    check decides Tr T_f = m tau_0 + tau_1 exactly at every level."""
     if j not in (0, 1):
         raise UnknownCoefficientOrder(f"tau_{j} is not available")
     return average(f)

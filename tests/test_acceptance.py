@@ -31,12 +31,11 @@ from btlab.semiclassics import (
     dirac_defect,
     loglog_slope,
     moment_limit,
-    product_coefficients,
     sass_remainder,
     spectral_moment,
     sweep,
 )
-from btlab.starproduct import FormalSeries, b_inverse, b_map, c1, check_axioms, check_equivalence, tau
+from btlab.starproduct import c1, check_axioms, check_equivalence, coefficient, tau
 from btlab.symbols import (
     HAMILTONIAN_PHASE,
     average,
@@ -114,7 +113,7 @@ def test_criterion_03_commutator_rate():
 
 
 def remainder_fit(f, g, order: int, toeplitz):
-    coeffs = product_coefficients(f, g, order)
+    coeffs = [coefficient(k, f, g) for k in range(order)]
     table = sweep(
         f"product_remainder_n{order}", DEFAULT_SWEEP, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=toeplitz)
     )
@@ -230,9 +229,7 @@ def test_criterion_10_equivalence():
     ok = True
     for i in range(10):
         f, g = rand(1200 + i), rand(1300 + i)
-        ok = ok and check_equivalence(f, g).is_zero
-        series = FormalSeries.of(f, 2)
-        ok = ok and b_inverse(b_map(series)) == series
+        ok = ok and check_equivalence(f, g) == {"nu1_defect_zero": True, "b_roundtrip": True}
     announce(10, ok, "b(f) * b(g) = b(f *_G g) at order 1 exactly; b_inverse(b_map) = id to order 2")
 
 

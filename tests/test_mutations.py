@@ -14,6 +14,7 @@ from btlab import runner, semiclassics, starproduct
 from btlab.config import parse_config
 from btlab.exact import QC
 from btlab.operators import operator_norm
+from btlab.starproduct import coefficient, tau
 from btlab.symbols import average, poisson_bracket
 
 DEMO = Path(__file__).resolve().parents[1] / "bench" / "configs" / "demo.cfg"
@@ -24,6 +25,13 @@ MUTANTS = {  # name -> (function name, its replacement, the checks it must fail)
     "{f,g} -> 2{f,g}": ("poisson_bracket", lambda f, g: poisson_bracket(f, g).scale(2), {"dirac"}),
     "average -> 1.001 average": ("average", lambda f: QC(Fraction(1001, 1000)) * average(f), {"trace", "spectrum"}),
     "norm -> norm/2": ("operator_norm", lambda x: operator_norm(x) / 2, {"norms"}),
+    # d1's b-correction assumes C_0 is the pointwise product, so equivalence fails too
+    "C_0 -> 2fg": (
+        "coefficient",
+        lambda k, f, g: (f * g).scale(2) if k == 0 else coefficient(k, f, g),
+        {"product", "sass2", "equivalence"},
+    ),
+    "tau -> 2 tau": ("tau", lambda f, j: QC(2) * tau(f, j), {"trace"}),
 }
 
 
@@ -71,9 +79,15 @@ def test_a_mutant_fails_exactly_its_checks(failed_checks, mutant):
     assert failed_checks(mutant) == MUTANTS[mutant][2]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="equivalence compares d1 with c1 plus its own b-correction, so it cannot fail: ROADMAP items 5 and 11",
-)
 def test_some_mutant_fails_the_equivalence_check(failed_checks):
     assert any("equivalence" in failed_checks(mutant) for mutant in MUTANTS)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="equivalence compares d1 with c1 plus its own b-correction, so no error in c1, Delta or {f,g} fails it: "
+    "ROADMAP items 5 and 11",
+)
+def test_a_c1_laplacian_or_bracket_mutant_fails_the_equivalence_check(failed_checks):
+    laws = ("c1", "laplacian", "poisson_bracket")
+    assert any("equivalence" in failed_checks(mutant) for mutant in MUTANTS if MUTANTS[mutant][0] in laws)

@@ -25,7 +25,6 @@ DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 ALLOWED = {
     "compose_exact": "the exact product of kernels, which A*A for band counts and T_f T_g = T_h_m build on",
-    "formal_trace": "the formal trace of a star-product series, which the trace laws at every order extend",
 }
 
 

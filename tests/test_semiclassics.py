@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assembly_reference import values
-from btlab.errors import DegenerateTable, UnknownCoefficientOrder
+from btlab.errors import DegenerateTable
 from btlab.exact import QC
 from btlab.operators import compose_exact, hermitian_eigenvalues, lincomb_exact, toeplitz_exact, trace_exact
 from btlab.semiclassics import (
@@ -16,11 +16,10 @@ from btlab.semiclassics import (
     ConvergenceTable,
     dirac_defect,
     loglog_slope,
-    product_coefficients,
     sass_remainder,
     spectral_moment,
 )
-from btlab.symbols import average
+from btlab.symbols import average, constant
 from conftest import norm_defect, rand, tuynman_defect
 
 
@@ -145,11 +144,12 @@ def test_sass_remainder_spot_value_exact(height):
     assert sass_remainder(height, height, [height * height], m) == pytest.approx(1 / 20, abs=1e-15)
 
 
-def test_sass_remainder_rejects_unknown_orders(height):
-    with pytest.raises(UnknownCoefficientOrder):
-        sass_remainder(height, height, [height] * 3, 4)
-    with pytest.raises(UnknownCoefficientOrder):
-        product_coefficients(height, height, 3)
+def test_sass_remainder_with_a_zero_third_coefficient_gives_the_two_coefficient_bits(height, xcoord):
+    # the remainder subtracts the coefficients it is given, any number of them; a zero one moves no bit
+    for f, g in ((height, xcoord), (rand(3), rand(4))):
+        coeffs = [f * g, rand(5)]
+        for m in (2, 9, 16):
+            assert sass_remainder(f, g, coeffs + [constant(0)], m) == sass_remainder(f, g, coeffs, m)
 
 
 # -- traces -----------------------------------------------------------------------
