@@ -46,8 +46,6 @@ def run_cmd(config_path, out, cache_root):
             cache_root=Path(cache_root) if cache_root else None,
             out=Path(out) if out else None,
         )
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {exc}", err=True)
         raise SystemExit(3)

@@ -5,21 +5,22 @@ levels, records one outcome per check, and writes the files of ``report``
 (report.json, tables.csv, plots/) into the output directory.
 
 ``CHECKS`` defines each check once, as a ``Check`` record: its row, the
-task of one level that gives that level's values and exact decision; its
-base, the one task for the work that needs no level (a sup norm, an
-average, the moment limits, a whole symbolic check); its verdict, which
-builds the tables, fits and details from the rows; and which symbols and
-how many levels it needs, which ``config`` validates.  The star-product
-laws that the checks read, the coefficients C_k, the formal trace and the
-named symbolic verdicts, are defined in ``starproduct``.  The tasks go out
-largest level first, in config order within a level, with the no-level
-tasks last, so the costliest rows start at once.  They go through one
-``fork_map`` call with n = min(number of tasks, usable CPUs) workers: n
+task of one level that gives that level's values, keyed by table name, and
+exact decision; its base, the one task for the work that needs no level (a
+sup norm, an average, the moment limits, a whole symbolic check); its
+verdict, which builds the tables with ``_tables`` and the fits and details
+from the rows, one ``_slope_verdict`` for every O(m^-k) law; and which
+symbols and how many levels it needs, which ``config`` validates.  The
+star-product laws that the checks read, the coefficients C_k, the formal
+trace and the named symbolic verdicts, are defined in ``starproduct``.  The
+tasks go out largest level first, in config order within a level, with the
+no-level tasks last, so the costliest rows start at once.  They go through
+one ``fork_map`` call with n = min(number of tasks, usable CPUs) workers: n
 forked worker processes take them from one pipe, and with n = 1 the calling
-process is the one worker.  The calling process then runs the verdicts,
-and counts the matrices that the tasks logged into the counters.
-The results, and so every byte written, are the same for every n.  A
-worker that dies makes the run raise.
+process is the one worker.  The calling process then runs the verdicts, and
+counts the matrices that the tasks logged into the counters. The results,
+and so every byte written, are the same for every n.  A worker that dies
+makes the run raise.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
 error, 3 internal error (the CLI maps exceptions to 2/3).
@@ -54,7 +55,6 @@ from .semiclassics import (
     sass_remainder,
     spectral_moment,
     moment_limit,
-    sweep,
     tuynman_difference,
 )
 from .starproduct import FormalSeries, check_axioms, check_equivalence, coefficient, formal_trace
@@ -113,19 +113,20 @@ def _pairs(names: list[str]) -> list[tuple[str, str]]:
     return [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))]
 
 
-def _slope_ok(table: ConvergenceTable, threshold: float) -> bool:
-    fit = loglog_slope(table)
-    return fit.exact_identity or fit.slope <= threshold
+def _tables(cfg: ExperimentConfig, rows: dict, value: Callable) -> list[ConvergenceTable]:
+    """One table per key of the rows, in the rows' order, of value(key, row entry) over ``cfg.m_list``."""
+    keys = rows[cfg.m_list[0]]
+    return [ConvergenceTable(key, [(m, value(key, rows[m][key])) for m in cfg.m_list]) for key in keys]
 
 
 @dataclass(frozen=True)
 class Check:
-    """One check.  ``row`` (cfg, assembler, m) gives one level's values for every active symbol or pair, with that
-    level's exact decision; ``base`` (cfg) is the check's work that needs no level; both run in a worker.
-    ``verdict`` (cfg, base, {m: row}) builds the ``CheckOutcome`` in the calling process; a check with no verdict
-    is its own base.  A ``real`` check needs real symbols: a sup norm, a Hamiltonian field, a Hermitian spectrum and
-    a prequantum operator exist for real symbols only.  A ``fits`` check fits slopes, so it needs ``MIN_FIT_LEVELS``
-    levels."""
+    """One check.  ``row`` (cfg, assembler, m) gives one level's values, keyed by the name of the table each goes
+    into, with that level's exact decision; ``base`` (cfg) is the check's work that needs no level, keyed the same
+    way; both run in a worker.  ``verdict`` (cfg, base, {m: row}) builds the ``CheckOutcome`` in the calling
+    process; a check with no verdict is its own base.  A ``real`` check needs real symbols: a sup norm, a Hamiltonian
+    field, a Hermitian spectrum and a prequantum operator exist for real symbols only.  A ``fits`` check fits
+    slopes, so it needs ``MIN_FIT_LEVELS`` levels."""
 
     row: Callable | None = None
     base: Callable | None = None
@@ -146,25 +147,22 @@ def _norms_base(cfg: ExperimentConfig) -> dict:
 
 
 def _norms_verdict(cfg: ExperimentConfig, sups: dict, rows: dict) -> CheckOutcome:
-    tables, details, ok = [], {}, True
-    for name in cfg.active:
-        sup = sups[name]
-        table = sweep(name, cfg.m_list, lambda m: sup - rows[m][name])
-        tables.append(table)
-        defects = table.values()
-        if any(d < -NORM_CONTRACTION_TOL for d in defects):
-            ok = False
-        details[name] = {
-            "sup_norm": sup,
+    tables = _tables(cfg, rows, lambda name, norm: sups[name] - norm)
+    ok = all(d >= -NORM_CONTRACTION_TOL for table in tables for d in table.values())
+    details = {
+        table.name: {
+            "sup_norm": sups[table.name],
             "C_max_m_defect": max(m * d for m, d in table.records),
-            "exact_identity": all(abs(d) <= EXACT_ZERO_TOL for d in defects),
+            "exact_identity": all(abs(d) <= EXACT_ZERO_TOL for d in table.values()),
         }
+        for table in tables
+    }
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
 def _dirac_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
     return {
-        (na, nb): dirac_defect(cfg.symbols[na], cfg.symbols[nb], m, toeplitz=assembler.toeplitz)
+        f"{na}-{nb}": dirac_defect(cfg.symbols[na], cfg.symbols[nb], m, toeplitz=assembler.toeplitz)
         for na, nb in _pairs(cfg.active)
     }
 
@@ -174,23 +172,27 @@ def _product_row(cfg: ExperimentConfig, assembler: Assembler, m: int, *, order: 
     for na, nb in _pairs(cfg.active):
         f, g = cfg.symbols[na], cfg.symbols[nb]
         coeffs = [coefficient(k, f, g) for k in range(order)]
-        rows[na, nb] = sass_remainder(f, g, coeffs, m, toeplitz=assembler.toeplitz)
+        rows[f"{na}-{nb}"] = sass_remainder(f, g, coeffs, m, toeplitz=assembler.toeplitz)
     return rows
 
 
-def _pair_verdict(cfg: ExperimentConfig, base: None, rows: dict, *, order: int, scaled: bool) -> CheckOutcome:
-    """A defect of O(m^-order) per pair: its fitted slope against the threshold, and with ``scaled`` its largest
-    m^order multiple."""
+def _slope_verdict(cfg: ExperimentConfig, limits: dict | None, rows: dict, *, order: int) -> CheckOutcome:
+    """A defect of O(m^-order) per table: the row value, or with ``limits`` its distance from the table's limit.  A
+    pass when each table's fitted slope is at most -order + order * slope_window, or the table is an exact identity;
+    ``K_max_scaled`` is the largest m^order multiple of the defect."""
     threshold = -float(order) + order * cfg.slope_window
-    tables, details, ok = [], {}, True
-    for pair in _pairs(cfg.active):
-        table = sweep("-".join(pair), cfg.m_list, lambda m: rows[m][pair])
-        tables.append(table)
-        if not _slope_ok(table, threshold):
-            ok = False
-        details[table.name] = {"slope": table.fit.slope, "threshold": threshold}
-        if scaled:
-            details[table.name]["K_max_scaled"] = max(m**order * v for m, v in table.records)
+    tables = _tables(cfg, rows, lambda key, v: v if limits is None else abs(v - limits[key]))
+    details = {}
+    for table in tables:
+        fit = loglog_slope(table)
+        details[table.name] = {
+            "slope": fit.slope,
+            "threshold": threshold,
+            "exact_identity": fit.exact_identity,
+            "K_max_scaled": max(m**order * v for m, v in table.records),
+            **({} if limits is None else {"limit": limits[table.name]}),
+        }
+    ok = all(d["exact_identity"] or d["slope"] <= threshold for d in details.values())
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
@@ -209,13 +211,15 @@ def _trace_base(cfg: ExperimentConfig) -> dict:
 def _exact_verdict(cfg: ExperimentConfig, base: dict | None, rows: dict, *, detail: str) -> CheckOutcome:
     """Rows of (value, exact decision) per symbol: a table of the values, and a pass when every level is exact.
     ``detail`` names the figure beside ``exact``: the symbol's entry of ``base``, or with no base the largest value."""
-    tables, details, ok = [], {}, True
-    for name in cfg.active:
-        table = sweep(name, cfg.m_list, lambda m: rows[m][name][0])
-        tables.append(table)
-        exact = all(rows[m][name][1] for m in cfg.m_list)
-        ok = ok and exact
-        details[name] = {detail: max(table.values()) if base is None else base[name], "exact": exact}
+    tables = _tables(cfg, rows, lambda name, row: row[0])
+    details = {
+        table.name: {
+            detail: max(table.values()) if base is None else base[table.name],
+            "exact": all(rows[m][table.name][1] for m in cfg.m_list),
+        }
+        for table in tables
+    }
+    ok = all(d["exact"] for d in details.values())
     return CheckOutcome("pass" if ok else "fail", tables, details)
 
 
@@ -226,29 +230,12 @@ def _spectrum_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
     rows = {}
     for name, f in cfg.active_symbols():
         eigs = hermitian_eigenvalues(assembler.toeplitz(f, m))  # one spectrum per level for all the moments
-        rows[name] = [spectral_moment(eigs, k) for k in _MOMENTS]
+        rows.update({f"{name}-k{k}": spectral_moment(eigs, k) for k in _MOMENTS})
     return rows
 
 
 def _spectrum_base(cfg: ExperimentConfig) -> dict:
-    return {name: [float(moment_limit(f, k).re) for k in _MOMENTS] for name, f in cfg.active_symbols()}
-
-
-def _spectrum_verdict(cfg: ExperimentConfig, limits: dict, rows: dict) -> CheckOutcome:
-    threshold = -1.0 + cfg.slope_window
-    tables, details, ok = [], {}, True
-    for name in cfg.active:
-        for i, (k, limit) in enumerate(zip(_MOMENTS, limits[name])):
-            table = sweep(f"{name}-k{k}", cfg.m_list, lambda m: abs(rows[m][name][i] - limit))
-            tables.append(table)
-            if not _slope_ok(table, threshold):
-                ok = False
-            details[table.name] = {
-                "limit": limit,
-                "slope": table.fit.slope,
-                "exact_identity": table.fit.exact_identity,
-            }
-    return CheckOutcome("pass" if ok else "fail", tables, details)
+    return {f"{name}-k{k}": float(moment_limit(f, k).re) for name, f in cfg.active_symbols() for k in _MOMENTS}
 
 
 def _tuynman_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
@@ -276,11 +263,11 @@ def _symbolic_check(cfg: ExperimentConfig, law: Callable, arity: int, extra: int
 
 CHECKS = {  # in this order, config errors list the known checks
     "norms": Check(_norms_row, _norms_base, _norms_verdict, real=True),
-    "dirac": Check(_dirac_row, verdict=partial(_pair_verdict, order=1, scaled=False), real=True, fits=True),
-    "product": Check(partial(_product_row, order=1), verdict=partial(_pair_verdict, order=1, scaled=True), fits=True),
-    "sass2": Check(partial(_product_row, order=2), verdict=partial(_pair_verdict, order=2, scaled=True), fits=True),
+    "dirac": Check(_dirac_row, verdict=partial(_slope_verdict, order=1), real=True, fits=True),
+    "product": Check(partial(_product_row, order=1), verdict=partial(_slope_verdict, order=1), fits=True),
+    "sass2": Check(partial(_product_row, order=2), verdict=partial(_slope_verdict, order=2), fits=True),
     "trace": Check(_trace_row, _trace_base, partial(_exact_verdict, detail="average")),
-    "spectrum": Check(_spectrum_row, _spectrum_base, _spectrum_verdict, real=True, fits=True),
+    "spectrum": Check(_spectrum_row, _spectrum_base, partial(_slope_verdict, order=1), real=True, fits=True),
     "tuynman": Check(_tuynman_row, verdict=partial(_exact_verdict, detail="max_defect"), real=True),
     # lambdas, so that each law is looked up by name when its check runs: a wrapper set on this module applies
     "staraxioms": Check(base=lambda cfg: _symbolic_check(cfg, check_axioms, 3, 6, "triple")),

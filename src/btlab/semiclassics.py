@@ -1,10 +1,9 @@
 """Level sweeps quantifying the semiclassical laws of the quantization.
 
-Every defect function here computes a single defect at one level m;
-``sweep`` turns a per-level function into a ``ConvergenceTable`` over a
-sweep of levels, and log-log slope fits turn the O(m^-N) statements into
-checkable numbers.  Defects below EXACT_ZERO_TOL are flagged as exact
-identities and never enter a fit.
+Every defect function here computes a single defect at one level m; a
+``ConvergenceTable`` holds one defect per level of a sweep, and log-log
+slope fits turn the O(m^-N) statements into checkable numbers.  Defects
+below EXACT_ZERO_TOL are flagged as exact identities and never enter a fit.
 """
 
 from __future__ import annotations
@@ -80,11 +79,6 @@ def loglog_slope(table: ConvergenceTable) -> FitResult:
     residual = math.sqrt(math.fsum((slope * x + intercept - y) ** 2 for x, y in zip(xs, ys)) / len(pts))
     table.fit = FitResult(slope, intercept, residual, len(pts))
     return table.fit
-
-
-def sweep(name: str, m_list, fn) -> ConvergenceTable:
-    """The table of fn(m) over m_list, one level after another in the calling thread."""
-    return ConvergenceTable(name, [(m, fn(m)) for m in m_list])
 
 
 def dirac_defect(f: CanonicalSymbol, g: CanonicalSymbol, m: int, toeplitz=toeplitz_exact) -> float:

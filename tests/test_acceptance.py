@@ -28,12 +28,12 @@ from btlab.operators import (
 )
 from btlab.runner import Assembler, run as run_experiment
 from btlab.semiclassics import (
+    ConvergenceTable,
     dirac_defect,
     loglog_slope,
     moment_limit,
     sass_remainder,
     spectral_moment,
-    sweep,
 )
 from btlab.starproduct import c1, check_axioms, check_equivalence, coefficient, tau
 from btlab.symbols import (
@@ -92,7 +92,7 @@ def test_criterion_02_norm_approximation():
     for seed_f, _ in PAIR_SEEDS:
         f = rand(seed_f, SWEEP_MAX_R)
         sup = sup_norm(f)
-        table = sweep("norm_defect", DEFAULT_SWEEP, lambda m: sup - operator_norm(toeplitz_exact(f, m)))
+        table = ConvergenceTable("norm_defect", [(m, sup - operator_norm(toeplitz_exact(f, m))) for m in DEFAULT_SWEEP])
         ok = ok and all(d >= -1e-9 for d in table.values())
         c_values.append(max(m * d for m, d in table.records))
     ok = ok and all(np.isfinite(c) for c in c_values)
@@ -104,7 +104,7 @@ def test_criterion_03_commutator_rate():
     ok = True
     for seed_f, seed_g in PAIR_SEEDS:
         f, g = rand(seed_f, SWEEP_MAX_R), rand(seed_g, SWEEP_MAX_R)
-        table = sweep("dirac_defect", DEFAULT_SWEEP, lambda m: dirac_defect(f, g, m))
+        table = ConvergenceTable("dirac_defect", [(m, dirac_defect(f, g, m)) for m in DEFAULT_SWEEP])
         fit = loglog_slope(table)
         if not fit.exact_identity:
             slopes.append(fit.slope)
@@ -114,8 +114,8 @@ def test_criterion_03_commutator_rate():
 
 def remainder_fit(f, g, order: int, toeplitz):
     coeffs = [coefficient(k, f, g) for k in range(order)]
-    table = sweep(
-        f"product_remainder_n{order}", DEFAULT_SWEEP, lambda m: sass_remainder(f, g, coeffs, m, toeplitz=toeplitz)
+    table = ConvergenceTable(
+        f"product_remainder_n{order}", [(m, sass_remainder(f, g, coeffs, m, toeplitz=toeplitz)) for m in DEFAULT_SWEEP]
     )
     return loglog_slope(table)
 
@@ -197,7 +197,8 @@ def test_criterion_08_spectral_moments():
         spectra = {m: hermitian_eigenvalues(toeplitz_exact(f, m)) for m in DEFAULT_SWEEP}  # one per level
         for k in (1, 2, 3):
             limit = float(moment_limit(f, k).re)
-            table = sweep(f"moment_defect_k{k}", DEFAULT_SWEEP, lambda m: abs(spectral_moment(spectra[m], k) - limit))
+            defects = [(m, abs(spectral_moment(spectra[m], k) - limit)) for m in DEFAULT_SWEEP]
+            table = ConvergenceTable(f"moment_defect_k{k}", defects)
             fit = loglog_slope(table)
             if fit.exact_identity:
                 outcomes.append(f"{name},k={k}: exact")

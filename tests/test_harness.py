@@ -195,8 +195,9 @@ def test_parse_rejects_nonsmooth_symbol(tmp_path):
         parse_config(write_cfg(tmp_path, bad))
 
 
-def test_parse_rejects_slope_checks_with_short_sweep(tmp_path):
-    bad = MINIMAL.replace("checks = norms", "checks = dirac")
+@pytest.mark.parametrize("name", [name for name, check in runner.CHECKS.items() if check.fits])
+def test_parse_rejects_slope_checks_with_short_sweep(tmp_path, name):
+    bad = MINIMAL.replace("checks = norms", f"checks = {name}")
     with pytest.raises(ValidationError, match="at least 4 levels"):
         parse_config(write_cfg(tmp_path, bad))
 
@@ -708,6 +709,21 @@ def test_a_pair_check_with_one_symbol_pairs_it_with_itself(tmp_path):
     for name in ("dirac", "product"):
         assert [table.name for table in report.checks[name].tables] == ["height-height"]
         assert list(report.checks[name].details) == ["height-height"]
+
+
+def test_every_slope_check_reports_the_same_detail_keys(tmp_path):
+    names = [name for name, check in runner.CHECKS.items() if check.fits]
+    text = MINIMAL.replace("checks = norms", f"checks = {', '.join(names)}")
+    cfg = parse_config(write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")))
+    report, _ = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
+    keys = {"slope", "threshold", "exact_identity", "K_max_scaled"}
+    for name in names:
+        outcome = report.checks[name]
+        assert list(outcome.details) == [table.name for table in outcome.tables]
+        for details in outcome.details.values():
+            assert set(details) == keys | ({"limit"} if name == "spectrum" else set())
+    dirac = report.checks["dirac"].details["height-height"]  # [T_h, T_h] and {h, h} are exact zeros
+    assert dirac["exact_identity"] is True and dirac["slope"] is None
 
 
 def test_runs_are_byte_identical_and_cache_transparent(tmp_path):
