@@ -81,7 +81,7 @@ def assemble(name, m, config_path, kind):
         mat = toeplitz_exact(f, m) if kind == "toeplitz" else prequantum_geometric(f, m)
         with np.printoptions(precision=8, suppress=True, linewidth=120):
             click.echo(str(mat.entries))
-    except ValueError as exc:  # the assemblers reject a level or a symbol given on the command line
+    except (ValueError, ZeroDivisionError) as exc:  # a level or symbol the assemblers or the floats cannot take
         click.echo(f"configuration error: {exc}", err=True)
         raise SystemExit(2)
     except Exception as exc:  # pragma: no cover - defensive

@@ -43,7 +43,7 @@ from .errors import NotSmoothAtInfinity, ValidationError
 from .exact import QC
 from .runner import CHECKS
 from .semiclassics import MIN_FIT_LEVELS
-from .symbols import CanonicalSymbol, sphere_coord_x, sphere_height, symbol
+from .symbols import CanonicalSymbol, sphere_coord_x, sphere_height
 
 SUPPORTED_MANIFOLDS = ("cp1",)
 
@@ -142,7 +142,7 @@ def _symbol_sections(parser: configparser.ConfigParser) -> dict[str, CanonicalSy
             raise ValidationError(f"[{section}] R must be >= 0")
         terms = _parse_terms(section, body.get("terms", ""))
         try:
-            symbols[name] = symbol(terms, r)
+            symbols[name] = CanonicalSymbol(terms, r)
         except NotSmoothAtInfinity as exc:
             raise ValidationError(f"[{section}]: {exc}") from exc
     return symbols

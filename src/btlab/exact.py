@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 Rational = int | Fraction
 
@@ -108,13 +108,3 @@ def over_common_den(values: Mapping) -> tuple[int, dict]:
         key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
         for key, c in values.items()
     }
-
-
-def beta_int(p: int, q: int) -> Fraction:
-    """Euler Beta function at positive integer arguments, exactly.
-
-    B(p, q) = (p-1)! (q-1)! / (p+q-1)! = 1 / ((p+q-1) * C(p+q-2, p-1)).
-    """
-    if p < 1 or q < 1:
-        raise ValueError(f"beta_int needs positive integer arguments, got ({p}, {q})")
-    return Fraction(1, (p + q - 1) * comb(p + q - 2, p - 1))

@@ -239,7 +239,7 @@ def prequantum_geometric(f: CanonicalSymbol, m: int) -> OperatorMatrix:
         raise ValueError("level m must be >= 1")
     if not f.is_real:
         raise ValueError("prequantum_geometric requires a real symbol")
-    xz = hamiltonian_field(f).comp_z  # m X^z
+    xz = hamiltonian_field(f)  # m X^z
     families = [
         (f.den, {key: (-im, re) for key, (re, im) in f.nums.items()}, f.denom_exp, False),  # i f
         (xz.den, {(a, b + 1): v for (a, b), v in xz.nums.items()}, xz.denom_exp + 1, False),

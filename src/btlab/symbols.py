@@ -18,11 +18,9 @@ positive int, and ``nums``, a map (a, b) -> (re, im) of int pairs, with
 N = sum (re + i im)/den z^a zbar^b, in lowest terms (the gcd of ``den`` and
 every numerator part is 1) and with no zero coefficient, so the pair is
 unique.  Products, sums, scaling, conjugation, Wirtinger derivatives, the
-(1+z*zbar) division and the realness test multiply and add Python ints
-only.  ``terms``, the map (a, b) -> QC, is derived from the pair on each
-access, with one ``Fraction`` per nonzero part, in the order of ``nums``:
-floats summed over a symbol's terms (``eval_sphere_grid``, so
-``sup_norm``) follow that order.
+(1+z*zbar) division, the realness test and the average multiply and add
+Python ints only.  ``terms``, the map (a, b) -> QC, is derived from the pair
+on each access, with one ``Fraction`` per nonzero part.
 
 Geometric conventions (fixed once as HAMILTONIAN_PHASE and LAPLACE_COEFF,
 which every run records in its report; the test suite pins the phase with
@@ -39,14 +37,13 @@ identity Q_f = i T_{f - Delta f/(2m)}):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
 from .errors import NotSmoothAtInfinity
-from .exact import QC, QC_I, Rational, beta_int, over_common_den
+from .exact import QC, QC_I, Rational, over_common_den
 
 # Frozen calibration constants.  HAMILTONIAN_PHASE is the factor sigma in
 # X_f^z = sigma * (1+z zbar)^2 df/dzbar; LAPLACE_COEFF the c in
@@ -76,8 +73,7 @@ def _add(d1: int, n1: Nums, d2: int, n2: Nums) -> tuple[int, Nums]:
 
 
 def _mul(d1: int, n1: Nums, d2: int, n2: Nums) -> tuple[int, Nums]:
-    """n1/d1 * n2/d2 over d1*d2.  A key whose partial sum hits zero is dropped and,
-    if a later product revives it, inserted again at the end."""
+    """n1/d1 * n2/d2 over d1*d2; a key whose partial sum hits zero is dropped."""
     out: Nums = {}
     for (a1, b1), (r1, i1) in n1.items():
         for (a2, b2), (r2, i2) in n2.items():
@@ -102,10 +98,7 @@ def _divide_one_plus_t(nums: Nums) -> Nums | None:
     Synthetic division up each diagonal a - b = d, gaps included: with n_i
     the coefficient of the monomial with min(a, b) = i, q_i = n_i - q_{i-1}
     from i = 0 to the top of the diagonal, and the division is exact iff
-    the top step leaves q = 0.  The quotient comes back in sorted key
-    order, so the float sums over a reduced symbol's terms
-    (``eval_sphere_grid``, ``sup_norm``) do not depend on the order of the
-    input.
+    the top step leaves q = 0.
     """
     tops: dict[int, int] = {}
     for a, b in nums:
@@ -121,7 +114,7 @@ def _divide_one_plus_t(nums: Nums) -> Nums | None:
                 quot[(a0 + i, b0 + i)] = (q_re, q_im)
         if q_re or q_im:
             return None
-    return dict(sorted(quot.items()))
+    return quot
 
 
 class ChartRational:
@@ -171,7 +164,7 @@ class ChartRational:
 
     @property
     def terms(self) -> Terms:
-        """The numerator as (a, b) -> QC, one ``Fraction`` per nonzero part, in the order of ``nums``."""
+        """The numerator as (a, b) -> QC, one ``Fraction`` per nonzero part."""
         den = self.den
         return {key: QC.of_ints(re, im, den) for key, (re, im) in self.nums.items()}
 
@@ -246,13 +239,14 @@ class ChartRational:
         """Values on the (cos-polar, azimuth) grid u x phi, poles included.
 
         Uses t/(1+t) = (1-u)/2 and 1/(1+t) = (1+u)/2, which keeps every
-        term bounded all the way to u = -1 (the point at infinity).
+        term bounded all the way to u = -1 (the point at infinity).  The
+        terms are summed in sorted (a, b) order, so equal values give equal bits.
         """
         den, r = self.den, self.denom_exp
         lo = (1.0 - u[:, None]) / 2.0
         hi = (1.0 + u[:, None]) / 2.0
         out = np.zeros((u.size, phi.size), dtype=complex)
-        for (a, b), (re, im) in self.nums.items():
+        for (a, b), (re, im) in sorted(self.nums.items()):
             radial = lo ** ((a + b) / 2.0) * hi ** (r - (a + b) / 2.0)
             out += complex(re / den, im / den) * radial * np.exp(1j * (a - b) * phi[None, :])
         return out
@@ -286,11 +280,6 @@ class CanonicalSymbol(ChartRational):
     @property
     def is_constant(self) -> bool:
         return self.denom_exp == 0 and set(self.nums) <= {(0, 0)}
-
-
-def symbol(terms: Terms, denom_exp: int = 0) -> CanonicalSymbol:
-    """Reduce a raw (terms, R) pair into a canonical symbol."""
-    return CanonicalSymbol(terms, denom_exp)
 
 
 def constant(c: QC | Rational) -> CanonicalSymbol:
@@ -330,32 +319,18 @@ def wirtinger(f: ChartRational, which: str = "dz") -> ChartRational:
     return ChartRational._of(*_add(*_mul(f.den, n_prime, *_one_plus_t_pow(1)), f.den, swing), r + 1)
 
 
-@dataclass(frozen=True)
-class VectorFieldChart:
-    """A real vector field X^z d/dz + X^zbar d/dzbar in chart components."""
-
-    comp_z: ChartRational
-    comp_zbar: ChartRational
-
-
-def hamiltonian_field(f: CanonicalSymbol) -> VectorFieldChart:
-    """The field X_f solving omega(X_f, .) = df, for a real symbol f."""
+def hamiltonian_field(f: CanonicalSymbol) -> ChartRational:
+    """X_f^z, the d/dz component of the field X_f solving omega(X_f, .) = df, for a
+    real symbol f; the d/dzbar component of a real field is its conjugate."""
     if not f.is_real:
         raise ValueError("hamiltonian_field requires a real symbol")
-    comp_z = wirtinger(f, "dzbar").scale(HAMILTONIAN_PHASE).shifted(2)
-    comp_zbar = wirtinger(f, "dz").scale(-HAMILTONIAN_PHASE).shifted(2)
-    return VectorFieldChart(comp_z, comp_zbar)
-
-
-def omega_contract(x: VectorFieldChart, y: VectorFieldChart) -> ChartRational:
-    """omega(X, Y) = i (1+t)^{-2} (X^z Y^zbar - X^zbar Y^z), exact."""
-    raw = x.comp_z * y.comp_zbar - x.comp_zbar * y.comp_z
-    return raw.scale(QC_I).shifted(-2)
+    return wirtinger(f, "dzbar").scale(HAMILTONIAN_PHASE).shifted(2)
 
 
 def poisson_bracket(f: CanonicalSymbol, g: CanonicalSymbol) -> CanonicalSymbol:
-    """{f, g} = omega(X_f, X_g), exact and antisymmetric."""
-    return reduce(omega_contract(hamiltonian_field(f), hamiltonian_field(g)))
+    """{f, g} = omega(X_f, X_g) = i (1+t)^{-2} (p - conj p) with p = X_f^z conj(X_g^z), exact and antisymmetric."""
+    p = hamiltonian_field(f) * hamiltonian_field(g).conjugate()
+    return reduce((p - p.conjugate()).scale(QC_I).shifted(-2))
 
 
 def laplacian(f: CanonicalSymbol) -> CanonicalSymbol:
@@ -367,23 +342,24 @@ def average(f: CanonicalSymbol) -> QC:
     """(1/vol) * integral of f against the Liouville form, exactly.
 
     Only the diagonal numerator monomials survive the angular integral;
-    each contributes a Beta integral:  avg = sum_a n_aa B(a+1, R+1-a).
+    each contributes a Beta integral B(a+1, R+1-a) = a! (R-a)! / (R+1)!, so
+    avg = sum_a n_aa a! (R-a)! over den (R+1)!, summed on the ints.
     """
-    r = f.denom_exp
-    total = QC(0)
-    for (a, b), c in f.terms.items():
+    r, re, im = f.denom_exp, 0, 0
+    for (a, b), (n_re, n_im) in f.nums.items():
         if a == b:
-            total = total + c * beta_int(a + 1, r + 1 - a)
-    return total
+            w = factorial(a) * factorial(r - a)
+            re, im = re + n_re * w, im + n_im * w
+    return QC.of_ints(re, im, f.den * factorial(r + 1))
 
 
 def sup_norm(f: CanonicalSymbol) -> float:
-    """Certified lower bound for the sup of |f| over the sphere.
+    """The largest |f| on a grid over the sphere: a lower bound for the sup, up to rounding.
 
     Scans a uniform (cos theta, phi) grid of 256^2 cells (poles included)
-    and refines twice around the arg-max cell; the returned grid maximum is
-    always a true lower bound for the supremum.  For smooth maxima two
-    refinement passes converge to ~1e-9 relative.
+    and refines twice around the arg-max cell.  A float evaluation can round
+    above the true value, so the result can exceed the sup by rounding.  For
+    smooth maxima two refinement passes converge to ~1e-9 relative.
     """
     if not f.is_real:
         raise ValueError("sup_norm requires a real symbol")
@@ -416,6 +392,6 @@ def random_real_symbol(seed: int, max_r: int = 2) -> CanonicalSymbol:
                        Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
                 terms[(a, b)] = c
                 terms[(b, a)] = c.conjugate()
-        out = symbol(terms, r)
+        out = CanonicalSymbol(terms, r)
         if not out.is_constant:
             return out

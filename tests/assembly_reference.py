@@ -108,7 +108,7 @@ def prequantum_reference(f: CanonicalSymbol, m: int) -> SimpleNamespace:
         raise ValueError("level m must be >= 1")
     if not f.is_real:
         raise ValueError("prequantum_geometric requires a real symbol")
-    xz = hamiltonian_field(f).comp_z.scale(Fraction(1, m))
+    xz = hamiltonian_field(f).scale(Fraction(1, m))
     kernel: dict[tuple[int, int], QC] = {}
     for k in range(m + 1):
         # P_f z^k = -X^z (k z^{k-1} - m z^k zbar/(1+t)) + i f z^k

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, pi
 
 from btlab.exact import QC
-from btlab.symbols import CanonicalSymbol, symbol
+from btlab.symbols import CanonicalSymbol
 
 
 def dimension(m: int) -> int:
@@ -60,4 +60,4 @@ def bergman_density_symbol(m: int) -> CanonicalSymbol:
     the binomial identity to the constant m+1.
     """
     terms = {(j, j): QC(1 / basis_norm_sq(m, j)) for j in range(m + 1)}
-    return symbol(terms, m)
+    return CanonicalSymbol(terms, m)

@@ -3,9 +3,13 @@
 This is the construction that the Gaussian-integer arithmetic in
 ``btlab.symbols`` replaces: every coefficient a ``QC``, every product and
 sum a new pair of ``Fraction`` values.  A value is a pair (terms, R) for
-N/(1+z*zbar)^R, with terms a dict (a, b) -> QC whose insertion order is
-the order the floats are summed in.  It is kept only as an oracle for the
-property tests.
+N/(1+z*zbar)^R, with terms a dict (a, b) -> QC.  It is kept only as an
+oracle for the property tests.  Its floats are summed in sorted (a, b)
+order, as ``eval_sphere_grid`` sums them, so they depend only on the value.
+
+``hamiltonian_fields`` and ``omega`` build the bracket as omega(X_f, X_g)
+from both components of each field, X^zbar from its own derivative
+d/dz; ``btlab.symbols`` reads only X^z and takes X^zbar as its conjugate.
 
 It also holds ``chart_value``, the float value of a ``ChartRational`` at a
 chart point or at ``INF``, which the pointwise oracles of the tests read,
@@ -20,7 +24,7 @@ from math import comb
 
 from btlab.errors import NotSmoothAtInfinity
 from btlab.exact import QC
-from btlab.symbols import random_real_symbol
+from btlab.symbols import HAMILTONIAN_PHASE, random_real_symbol
 
 INF = complex(float("inf"), 0.0)  # the w = 0 point of the second chart
 
@@ -111,7 +115,7 @@ def divide_one_plus_t(terms):
                 quot[(a0 + i, b0 + i)] = q
         if q:
             return None
-    return dict(sorted(quot.items()))
+    return quot
 
 
 def reduce(f):
@@ -132,18 +136,34 @@ def is_real(terms):
 def evaluate(f, z):
     terms, r = f
     zb = z.conjugate()
-    return sum(complex(c) * z**a * zb**b for (a, b), c in terms.items()) / (1.0 + (z * zb).real) ** r
+    return sum(complex(c) * z**a * zb**b for (a, b), c in sorted(terms.items())) / (1.0 + (z * zb).real) ** r
 
 
 def chart_value(f, z: complex) -> complex:
-    """The value of the ChartRational ``f`` at a finite chart point z, or at INF, summed in the order of ``f.nums``."""
+    """The value of the ChartRational ``f`` at a finite chart point z, or at INF, summed in sorted (a, b) order."""
     z, den, r = complex(z), f.den, f.denom_exp
     if cmath.isinf(z):
         re, im = f.nums.get((r, r), (0, 0))
         return complex(re / den, im / den)
     zb = z.conjugate()
-    num = sum(complex(re / den, im / den) * z**a * zb**b for (a, b), (re, im) in f.nums.items())
+    num = sum(complex(re / den, im / den) * z**a * zb**b for (a, b), (re, im) in sorted(f.nums.items()))
     return num / (1.0 + (z * zb).real) ** r
+
+
+def hamiltonian_fields(f):
+    """(X_f^z, X_f^zbar) of a real symbol f as reference pairs: X^z = sigma (1+t)^2 df/dzbar and
+    X^zbar = -sigma (1+t)^2 df/dz, each from its own Wirtinger derivative."""
+    pair = (f.terms, f.denom_exp)
+    return tuple(
+        shifted(scale(wirtinger(pair, which), phase), 2)
+        for which, phase in (("dzbar", HAMILTONIAN_PHASE), ("dz", -HAMILTONIAN_PHASE))
+    )
+
+
+def omega(x, y):
+    """omega(X, Y) = i (1+t)^{-2} (X^z Y^zbar - X^zbar Y^z) of two reference fields, reduced."""
+    (xz, xzb), (yz, yzb) = x, y
+    return reduce(shifted(scale(add(mul(xz, yzb), scale(mul(xzb, yz), -1)), QC(0, 1)), -2))
 
 
 def finite_diff_wirtinger(fn, z: complex, which: str, eps: float = 1e-6) -> complex:

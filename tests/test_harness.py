@@ -30,7 +30,7 @@ from btlab.operators import OperatorMatrix, hermitian_eigenvalues, operator_norm
 from btlab.runner import Assembler, run as run_experiment
 from btlab import operators, runner, semiclassics
 from btlab.semiclassics import moment_limit, spectral_moment
-from btlab.symbols import sphere_coord_x, sphere_height
+from btlab.symbols import random_real_symbol, sphere_coord_x, sphere_height
 
 MINIMAL = """
 [experiment]
@@ -746,6 +746,23 @@ def test_runs_are_byte_identical_and_cache_transparent(tmp_path):
             assert t1.records == t2.records
 
 
+def test_a_symbol_written_in_another_term_order_writes_the_same_tables(tmp_path):
+    # equal symbols give equal floats: sup_norm, and so the norms rows, read the value and not the order of its terms
+    f = random_real_symbol(0, 3)
+    lines = [
+        f"    {a} {b} {c.re.numerator} {c.re.denominator} {c.im.numerator} {c.im.denominator}\n"
+        for (a, b), c in f.terms.items()
+    ]
+    written = []
+    for i, order in enumerate((lines, lines[::-1])):
+        text = MINIMAL.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8\nsymbols = r0")
+        cfg = parse_config(write_cfg(tmp_path, f"{text}\n[symbol r0]\nR = {f.denom_exp}\nterms =\n{''.join(order)}"))
+        cfg.output = tmp_path / f"out{i}"
+        run_experiment(cfg, cache_root=tmp_path / f"cache{i}")
+        written.append((cfg.output / "tables.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_checks_share_one_memo(tmp_path):
     text = MINIMAL.replace("checks = norms", "checks = norms, spectrum, trace")
     cfg = parse_config(write_cfg(tmp_path, text.replace("m_list = 2, 4, 8", "m_list = 2, 4, 8, 16")))
@@ -1174,6 +1191,13 @@ def test_cli_assemble_prequantum(tmp_path):
     assert result.exit_code == 0
     with np.printoptions(precision=8, suppress=True, linewidth=120):
         assert result.output == f"{prequantum_geometric(sphere_coord_x(), 2).entries}\n"
+
+
+def test_cli_assemble_exits_two_at_a_level_whose_basis_norm_underflows(tmp_path):
+    # the exact kernel is built; its floats are not, and the level is what the user gave
+    result = CliRunner().invoke(main, ["assemble", "bump", "1100", "--config", str(write_cfg(tmp_path, BUMP))])
+    assert result.exit_code == 2
+    assert "configuration error: a basis norm underflows to 0.0 at level 1100" in result.output
 
 
 def test_cli_assemble_rejects_prequantum_level_zero():

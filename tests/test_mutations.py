@@ -70,7 +70,7 @@ def test_the_unmutated_demo_passes(failed_checks):
             "norm -> norm/2",
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="norms fails only when a norm exceeds sup|f|, so halved norms pass: ROADMAP item 11",
+                reason="norms fails only when a norm exceeds sup|f|, so halved norms pass: ROADMAP item 15",
             ),
         ),
     ],
@@ -86,7 +86,7 @@ def test_some_mutant_fails_the_equivalence_check(failed_checks):
 @pytest.mark.xfail(
     strict=True,
     reason="equivalence compares d1 with c1 plus its own b-correction, so no error in c1, Delta or {f,g} fails it: "
-    "ROADMAP items 5 and 11",
+    "ROADMAP items 16 and 5",
 )
 def test_a_c1_laplacian_or_bracket_mutant_fails_the_equivalence_check(failed_checks):
     laws = ("c1", "laplacian", "poisson_bracket")

@@ -26,7 +26,7 @@ from btlab.operators import (
     toeplitz_exact,
     trace_exact,
 )
-from btlab.symbols import average, laplacian, sup_norm, symbol
+from btlab.symbols import CanonicalSymbol, average, laplacian, sup_norm
 from conftest import equal_exact, equals_i_times, rand, rand_complex
 from quadrature_reference import QuadratureBudgetTooSmall, gram_quadrature, toeplitz_quadrature
 from symbols_reference import chart_value
@@ -288,9 +288,9 @@ def test_band_routes_take_the_dense_call_where_they_cannot_match_it(monkeypatch)
     for name in ("norm", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(name))
     m = 6
-    complex_diagonal = toeplitz_exact(symbol({(1, 1): QC(1, 1)}, 1), m)
-    both_parts = toeplitz_exact(symbol({(0, 0): QC(1), (1, 0): QC(1, 1), (0, 1): QC(1, -1)}, 1), m)
-    pentadiagonal = toeplitz_exact(symbol({(0, 0): QC(1), (2, 0): QC(1), (0, 2): QC(1)}, 2), m)
+    complex_diagonal = toeplitz_exact(CanonicalSymbol({(1, 1): QC(1, 1)}, 1), m)
+    both_parts = toeplitz_exact(CanonicalSymbol({(0, 0): QC(1), (1, 0): QC(1, 1), (0, 1): QC(1, -1)}, 1), m)
+    pentadiagonal = toeplitz_exact(CanonicalSymbol({(0, 0): QC(1), (2, 0): QC(1), (0, 2): QC(1)}, 2), m)
     # a level-2 kernel on diagonals -2, 0 and 2, which no band route takes; C(2, 0) = C(2, 2), so it is Hermitian
     plain = OperatorMatrix(2, Kernel(1, {-2: [(1, 0)], 0: [(3, 0), (-1, 0), (2, 0)], 2: [(1, 0)]}))
     assert {d for d, _ in pentadiagonal.kernel.diags} == {-2, 0, 2}

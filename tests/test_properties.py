@@ -42,7 +42,6 @@ from btlab.symbols import (
     poisson_bracket,
     random_real_symbol,
     reduce,
-    symbol,
 )
 from conftest import equal_exact, equals_i_times, rand, rand_complex
 
@@ -182,7 +181,7 @@ def test_prequantum_families_have_no_zbar_power_above_their_denominator(seed, m)
     # the zbar^R terms of N_zbar (1+t) - R z N cancel, so m X^z has zbar-degree <= its exponent R - 1 and every
     # family of Q_f is one the banded assembly takes
     f = random_real_symbol(seed, 4)
-    xz = hamiltonian_field(f).comp_z
+    xz = hamiltonian_field(f)
     assert xz.deg_zbar() <= xz.denom_exp
     got, want = prequantum_geometric(f, m), prequantum_reference(f, m)
     assert got.kernel == want.kernel
@@ -275,7 +274,7 @@ band_levels = st.integers(min_value=0, max_value=80)  # past 32, where zhetrd an
 def diagonal_symbols(draw) -> CanonicalSymbol:
     """A real U(1)-invariant symbol, sum_a c_a t^a / (1+t)^R with real c_a: its operators are real and diagonal."""
     r = draw(st.integers(min_value=1, max_value=3))
-    return symbol({(a, a): QC(draw(coeffs)) for a in range(r + 1)}, r)
+    return CanonicalSymbol({(a, a): QC(draw(coeffs)) for a in range(r + 1)}, r)
 
 
 @st.composite
@@ -288,7 +287,7 @@ def tridiagonal_symbols(draw) -> CanonicalSymbol:
     for a in range(r):
         terms[a + 1, a] = axis * QC(draw(coeffs))
         terms[a, a + 1] = terms[a + 1, a].conjugate()
-    return symbol(terms, r)
+    return CanonicalSymbol(terms, r)
 
 
 def _bits(x) -> bytes:
@@ -297,7 +296,7 @@ def _bits(x) -> bytes:
 
 # At m = 1 zgesdd's 2 x 2 step can move the last bit of max |a_jj|, so the norm there runs the SVD.
 @properties
-@example(symbol({(0, 0): QC(Fraction(10, 3)), (1, 1): QC(Fraction(18, 7))}, 1), symbol({}, 1), 1)
+@example(CanonicalSymbol({(0, 0): QC(Fraction(10, 3)), (1, 1): QC(Fraction(18, 7))}, 1), CanonicalSymbol({}, 1), 1)
 @given(diagonal_symbols(), tridiagonal_symbols(), band_levels)
 def test_diagonal_routes_give_the_dense_bits(f, g, m):
     t, u = toeplitz_exact(f, m), toeplitz_exact(g, m)

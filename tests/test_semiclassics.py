@@ -1,6 +1,8 @@
 """Defect functions and sweep machinery."""
 
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assembly_reference import values
+from btlab import symbols
+from btlab.config import parse_symbols
 from btlab.errors import DegenerateTable
 from btlab.exact import QC
 from btlab.operators import compose_exact, hermitian_eigenvalues, lincomb_exact, toeplitz_exact, trace_exact
@@ -18,9 +22,12 @@ from btlab.semiclassics import (
     loglog_slope,
     sass_remainder,
     spectral_moment,
+    tuynman_difference,
 )
-from btlab.symbols import average, constant
+from btlab.symbols import average, constant, poisson_bracket
 from conftest import norm_defect, rand, tuynman_defect
+
+DEMO = Path(__file__).resolve().parents[1] / "bench" / "configs" / "demo.cfg"
 
 
 # -- slope fitting ------------------------------------------------------------
@@ -199,3 +206,18 @@ def test_tuynman_defect_height(height):
 def test_tuynman_defect_random():
     for seed in range(10):
         assert tuynman_defect(rand(seed + 300), 16) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name, value", [("HAMILTONIAN_PHASE", QC(0, 1)), ("LAPLACE_COEFF", Fraction(1)), ("LAPLACE_COEFF", Fraction(4))]
+)
+def test_tuynman_fails_with_the_other_phase_or_laplace_coefficient(monkeypatch, name, value):
+    # the README's claim: the tuynman check fails on the demo symbols with sigma = +i, c = 1 or c = 4
+    demo = parse_symbols(DEMO)
+    brackets = {(f, g): poisson_bracket(demo[f], demo[g]) for f, g in permutations(demo, 2)}
+    monkeypatch.setattr(symbols, name, value)
+    for f in demo.values():
+        for m in (2, 4, 8):
+            assert tuynman_difference(f, m).kernel.diags, (name, value, m)
+    if name == "HAMILTONIAN_PHASE":  # X^z and its conjugate both change sign, so the bracket does not
+        assert {pair: poisson_bracket(demo[pair[0]], demo[pair[1]]) for pair in brackets} == brackets
