@@ -3,8 +3,9 @@
 Subcommands: ``run`` an experiment config, ``assemble`` and print a single
 matrix, ``report`` a finished run directory, and ``cache clear``.  Exit codes
 of ``run``: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 internal error.  ``assemble`` and ``report`` exit 2 on input they cannot
-use: a bad symbol or level, or a directory without a readable report.json.
+3 internal error; a level whose basis norm underflows is a configuration
+error.  ``assemble`` and ``report`` exit 2 on input they cannot use: a bad
+symbol or level, or a directory without a readable report.json.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .cache import CACHE_ENV, MatrixCache, default_cache_root
 from .config import BUILTIN_SYMBOLS, parse_config, parse_symbols
-from .errors import ValidationError
+from .errors import BasisNormUnderflow, ValidationError
 from .operators import prequantum_geometric, toeplitz_exact
 from .runner import run as run_experiment
 
@@ -36,16 +37,14 @@ def main():
 def run_cmd(config_path, out, cache_root):
     """Execute the checks described in CONFIG_PATH and write reports."""
     try:
-        cfg = parse_config(config_path)
-    except ValidationError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        raise SystemExit(2)
-    try:
         report, code = run_experiment(
-            cfg,
+            parse_config(config_path),
             cache_root=Path(cache_root) if cache_root else None,
             out=Path(out) if out else None,
         )
+    except (ValidationError, BasisNormUnderflow) as exc:  # a bad config, or a level too large for its float matrices
+        click.echo(f"configuration error: {exc}", err=True)
+        raise SystemExit(2)
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {exc}", err=True)
         raise SystemExit(3)
@@ -81,7 +80,7 @@ def assemble(name, m, config_path, kind):
         mat = toeplitz_exact(f, m) if kind == "toeplitz" else prequantum_geometric(f, m)
         with np.printoptions(precision=8, suppress=True, linewidth=120):
             click.echo(str(mat.entries))
-    except (ValueError, ZeroDivisionError) as exc:  # a level or symbol the assemblers or the floats cannot take
+    except ValueError as exc:  # a level the assemblers or the floats cannot take, BasisNormUnderflow among them
         click.echo(f"configuration error: {exc}", err=True)
         raise SystemExit(2)
     except Exception as exc:  # pragma: no cover - defensive
@@ -107,11 +106,10 @@ def report_cmd(directory):
         for name, outcome in data["checks"].items():
             lines.append(f"  {name:12s} {outcome['status']}")
             for table in outcome["tables"]:
-                fit = table.get("fit")
-                if fit and not fit.get("exact_identity"):
-                    lines.append(f"    {table['name']:20s} slope {fit['slope']:+.3f}")
-                elif fit:
-                    lines.append(f"    {table['name']:20s} exact identity")
+                detail = outcome["details"][table["name"]]  # a fit is recorded there alone
+                if "slope" in detail:
+                    fit = "exact identity" if detail["slope"] is None else f"slope {detail['slope']:+.3f}"
+                    lines.append(f"    {table['name']:20s} {fit}")
         lines.append(f"status     : {data['status']}")
     except (ValueError, LookupError, TypeError, AttributeError) as exc:  # malformed JSON or not a report's shape
         click.echo(f"not a btlab report: {path}: {type(exc).__name__}: {exc}", err=True)

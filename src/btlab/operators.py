@@ -58,7 +58,7 @@ from math import gcd, lcm, perm
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BasisNormUnderflow, ShapeMismatch
 from .exact import QC, Rational, over_common_den
 from .symbols import CanonicalSymbol, hamiltonian_field
 
@@ -143,7 +143,7 @@ class OperatorMatrix:
         m, den = self.m, self.kernel.den
         scale = np.sqrt([1 / ((m + 1) * c) for c in _binomial_row(m)])
         if not scale.all():  # 1/((m+1) C(m, j)) underflows to 0.0 from m = 1071
-            raise ZeroDivisionError(f"a basis norm underflows to 0.0 at level {m}")
+            raise BasisNormUnderflow(f"a basis norm underflows to 0.0 at level {m}")
         entries = np.zeros((m + 1, m + 1), dtype=complex)
         for d, cells in self.kernel.diags:
             j = np.arange(len(cells)) + max(d, 0)  # cell i is the entry (j[i], j[i] - d)

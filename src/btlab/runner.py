@@ -8,8 +8,8 @@ levels, records one outcome per check, and writes the files of ``report``
 task of one level that gives that level's values, keyed by table name, and
 exact decision; its base, the one task for the work that needs no level (a
 sup norm, an average, the moment limits, a whole symbolic check); its
-verdict, which builds the tables with ``_tables`` and the fits and details
-from the rows, one ``_slope_verdict`` for every O(m^-k) law; and which
+verdict, which builds the tables with ``_tables`` and the details from the
+rows, one ``_slope_verdict`` for every O(m^-k) law; and which
 symbols and how many levels it needs, which ``config`` validates.  The
 star-product laws that the checks read, the coefficients C_k, the formal
 trace and the named symbolic verdicts, are defined in ``starproduct``.  The
@@ -63,7 +63,7 @@ from .symbols import HAMILTONIAN_PHASE, LAPLACE_COEFF, CanonicalSymbol, average,
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-NORM_CONTRACTION_TOL = 1e-9
+NORM_TOL = 1e-9  # the slack on both sides of the norms verdict
 
 
 class Assembler:
@@ -139,7 +139,9 @@ class Check:
 
 
 def _norms_row(cfg: ExperimentConfig, assembler: Assembler, m: int) -> dict:
-    return {name: operator_norm(assembler.toeplitz(f, m)) for name, f in cfg.active_symbols()}
+    """Per symbol, ||T_f|| and its lower bound max_j |a_jj|, each |<T_f e_j, e_j>| of a unit basis vector e_j."""
+    mats = {name: assembler.toeplitz(f, m) for name, f in cfg.active_symbols()}
+    return {name: (operator_norm(t), float(np.abs(t.diagonal).max())) for name, t in mats.items()}
 
 
 def _norms_base(cfg: ExperimentConfig) -> dict:
@@ -147,11 +149,15 @@ def _norms_base(cfg: ExperimentConfig) -> dict:
 
 
 def _norms_verdict(cfg: ExperimentConfig, sups: dict, rows: dict) -> CheckOutcome:
-    tables = _tables(cfg, rows, lambda name, norm: sups[name] - norm)
-    ok = all(d >= -NORM_CONTRACTION_TOL for table in tables for d in table.values())
+    """A pass when max_j |a_jj| - NORM_TOL <= ||T_f|| <= sup|f| + NORM_TOL at every level; the tables hold
+    sup|f| - ||T_f||, and ``lower_bound`` is max_j |a_jj| at the largest level."""
+    tables = _tables(cfg, rows, lambda name, row: sups[name] - row[0])
+    bounds = [(lower, norm, sups[name]) for row in rows.values() for name, (norm, lower) in row.items()]
+    ok = all(lower - NORM_TOL <= norm <= sup + NORM_TOL for lower, norm, sup in bounds)
     details = {
         table.name: {
             "sup_norm": sups[table.name],
+            "lower_bound": rows[cfg.m_list[-1]][table.name][1],
             "C_max_m_defect": max(m * d for m, d in table.records),
             "exact_identity": all(abs(d) <= EXACT_ZERO_TOL for d in table.values()),
         }
@@ -179,16 +185,16 @@ def _product_row(cfg: ExperimentConfig, assembler: Assembler, m: int, *, order: 
 def _slope_verdict(cfg: ExperimentConfig, limits: dict | None, rows: dict, *, order: int) -> CheckOutcome:
     """A defect of O(m^-order) per table: the row value, or with ``limits`` its distance from the table's limit.  A
     pass when each table's fitted slope is at most -order + order * slope_window, or the table is an exact identity;
-    ``K_max_scaled`` is the largest m^order multiple of the defect."""
+    ``K_max_scaled`` is the largest m^order multiple of the defect.  These details are the only record of a fit."""
     threshold = -float(order) + order * cfg.slope_window
     tables = _tables(cfg, rows, lambda key, v: v if limits is None else abs(v - limits[key]))
     details = {}
     for table in tables:
-        fit = loglog_slope(table)
+        slope = loglog_slope(table)
         details[table.name] = {
-            "slope": fit.slope,
+            "slope": slope,
             "threshold": threshold,
-            "exact_identity": fit.exact_identity,
+            "exact_identity": slope is None,
             "K_max_scaled": max(m**order * v for m, v in table.records),
             **({} if limits is None else {"limit": limits[table.name]}),
         }

@@ -3,13 +3,14 @@
 Every defect function here computes a single defect at one level m; a
 ``ConvergenceTable`` holds one defect per level of a sweep, and log-log
 slope fits turn the O(m^-N) statements into checkable numbers.  Defects
-below EXACT_ZERO_TOL are flagged as exact identities and never enter a fit.
+below EXACT_ZERO_TOL never enter a fit, and a table with too few others left
+is an exact identity, with no slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,22 +32,10 @@ EXACT_ZERO_TOL = 1e-13
 MIN_FIT_LEVELS = 4  # the fit uses the upper half of a table, so at least two levels
 
 
-@dataclass
-class FitResult:
-    """A log-log line fit; an exact identity has no line, so its slope and intercept are None."""
-
-    slope: float | None
-    intercept: float | None
-    residual: float
-    n_used: int
-    exact_identity: bool = False
-
-
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceTable:
     name: str
-    records: list[tuple[int, float]] = field(default_factory=list)
-    fit: FitResult | None = None
+    records: list[tuple[int, float]]
 
     def __post_init__(self):
         ms = [m for m, _ in self.records]
@@ -59,26 +48,21 @@ class ConvergenceTable:
         return [v for _, v in self.records]
 
 
-def loglog_slope(table: ConvergenceTable) -> FitResult:
+def loglog_slope(table: ConvergenceTable) -> float | None:
     """Least-squares slope of log(value) vs log(m) over the upper half of
     the sweep, in closed form with ``math.fsum``, so no LAPACK call.  Near-zero
-    values are excluded; if fewer than two survive the table is flagged as an
-    exact identity, with no slope or intercept."""
+    values are excluded; if fewer than two survive the table is an exact
+    identity, and the slope is None."""
     if len(table.records) < MIN_FIT_LEVELS:
         raise DegenerateTable(f"{table.name}: need >= {MIN_FIT_LEVELS} records, have {len(table.records)}")
     upper = table.records[len(table.records) // 2 :]
     pts = [(m, v) for m, v in upper if v > EXACT_ZERO_TOL]
     if len(pts) < 2:
-        table.fit = FitResult(None, None, 0.0, len(pts), exact_identity=True)
-        return table.fit
+        return None
     xs, ys = [math.log(m) for m, _ in pts], [math.log(v) for _, v in pts]
     x_bar, y_bar = math.fsum(xs) / len(pts), math.fsum(ys) / len(pts)
     dxs = [x - x_bar for x in xs]
-    slope = math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
-    intercept = y_bar - slope * x_bar
-    residual = math.sqrt(math.fsum((slope * x + intercept - y) ** 2 for x, y in zip(xs, ys)) / len(pts))
-    table.fit = FitResult(slope, intercept, residual, len(pts))
-    return table.fit
+    return math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
 def dirac_defect(f: CanonicalSymbol, g: CanonicalSymbol, m: int, toeplitz=toeplitz_exact) -> float:

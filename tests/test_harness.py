@@ -694,12 +694,25 @@ terms =
 
 @pytest.mark.parametrize("excess, code", [(2e-9, 1), (0.5e-9, 0)])
 def test_norms_check_fails_when_a_norm_exceeds_the_sup(tmp_path, monkeypatch, excess, code):
-    # a norm above sup|f| by more than NORM_CONTRACTION_TOL = 1e-9 fails the check
+    # a norm above sup|f| by more than NORM_TOL = 1e-9 fails the check
     norm = operator_norm(toeplitz_exact(sphere_height(), 8))
     _patch_check(monkeypatch, "norms", base=lambda cfg: {"height": norm - excess})
     cfg = parse_config(write_cfg(tmp_path, MINIMAL))
     report, got = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
     assert got == code and report.checks["norms"].status == ("fail" if code else "pass")
+
+
+@pytest.mark.parametrize("deficit, code", [(2e-9, 1), (0.5e-9, 0)])
+def test_norms_check_fails_when_a_norm_falls_below_the_diagonal(tmp_path, monkeypatch, deficit, code):
+    # height's norm is its largest diagonal entry (m+1)/(m+2); a norm below it by more than NORM_TOL fails the check
+    def row(cfg, assembler, m):
+        return {name: (norm - deficit, lower) for name, (norm, lower) in runner._norms_row(cfg, assembler, m).items()}
+
+    _patch_check(monkeypatch, "norms", row=row)
+    cfg = parse_config(write_cfg(tmp_path, MINIMAL))
+    report, got = run_experiment(cfg, cache_root=tmp_path / "cache", out=tmp_path / "out")
+    assert got == code and report.checks["norms"].status == ("fail" if code else "pass")
+    assert report.checks["norms"].details["height"]["lower_bound"] == 9 / 10  # at m = 8, the largest level
 
 
 def test_a_pair_check_with_one_symbol_pairs_it_with_itself(tmp_path):
@@ -845,8 +858,26 @@ def test_diagonal_operators_run_past_the_float_underflow(tmp_path):
     rows = (tmp_path / "out" / "tables.csv").read_text().splitlines()
     assert [row.split(",")[1] for row in rows].count("1100") == 5  # norms, three moments and trace
     result = cli_run(BUMP.replace("m_list = 2, 4, 8", "m_list = 16, 32, 64, 1100"))
+    assert result.exit_code == 2
+    assert "configuration error: a basis norm underflows to 0.0 at level 1100" in result.output
+
+
+def test_cli_run_exits_two_at_a_level_whose_basis_norm_underflows_and_three_on_any_other_error(tmp_path, monkeypatch):
+    def cli_run(text: str):
+        args = ["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]
+        return CliRunner().invoke(main, [*args, "--cache-root", str(tmp_path / "cache")])
+
+    result = cli_run(BUMP.replace("m_list = 2, 4, 8", "m_list = 1100"))
+    assert result.exit_code == 2
+    assert "configuration error: a basis norm underflows to 0.0 at level 1100" in result.output
+
+    def broken(cfg):
+        raise ArithmeticError("no such sup")
+
+    _patch_check(monkeypatch, "norms", base=broken)
+    result = cli_run(BUMP)
     assert result.exit_code == 3
-    assert "internal error: a basis norm underflows to 0.0 at level 1100" in result.output
+    assert "internal error: no such sup" in result.output
 
 
 def _usable_cpus(monkeypatch, n: int) -> None:
@@ -1254,22 +1285,23 @@ def test_report_json_schema_and_report_command(tmp_path):
     assert set(data["checks"]) == {"norms", "dirac", "trace", "spectrum", "equivalence"}
     assert set(data["counters"]) == {"assemblies", "cache_hits", "cache_corruptions"}
     assert set(data["timings"]) == set(data["checks"])
-    fits = []
+    slopes = {}  # a fit is recorded in the details of its table alone
     for name, outcome in data["checks"].items():
         assert set(outcome) == {"status", "details", "tables"}
         assert outcome["status"] == report.checks[name].status
         for table in outcome["tables"]:
-            assert set(table) == {"name", "records", "fit"}
+            assert set(table) == {"name", "records"}
             assert all(len(record) == 2 for record in table["records"])
-            if table["fit"] is not None:
-                assert set(table["fit"]) == {"slope", "intercept", "residual", "n_used", "exact_identity"}
-                fits.append((table["name"], table["fit"]))
-    assert {fit["exact_identity"] for _, fit in fits} == {False, True}  # both kinds of report line
+            if runner.CHECKS[name].fits:
+                slopes[table["name"]] = outcome["details"][table["name"]]["slope"]
+    assert {slope is None for slope in slopes.values()} == {False, True}  # both kinds of report line
     result = CliRunner().invoke(main, ["report", str(tmp_path / "out")])
     assert result.exit_code == 0
-    for name, fit in fits:
-        line = f"{name:20s} exact identity" if fit["exact_identity"] else f"{name:20s} slope {fit['slope']:+.3f}"
-        assert line in result.output
+    fit_lines = [line for line in result.output.splitlines() if line.startswith("    ")]
+    assert fit_lines == [
+        f"    {name:20s} exact identity" if slope is None else f"    {name:20s} slope {slope:+.3f}"
+        for name, slope in slopes.items()
+    ]
 
 
 def _strict_json(text: str):
@@ -1287,11 +1319,9 @@ def test_full_report_is_strict_json(tmp_path):
     assert code == 0
     data = _strict_json((tmp_path / "out" / "report.json").read_text())
     spectrum = data["checks"]["spectrum"]
-    exact = [table for table in spectrum["tables"] if table["fit"]["exact_identity"]]
-    assert {table["name"] for table in exact} == {"xcoord-k1", "xcoord-k3"}
-    for table in exact:
-        assert table["fit"]["slope"] is None and table["fit"]["intercept"] is None
-        assert spectrum["details"][table["name"]]["slope"] is None
+    exact = [name for name, detail in spectrum["details"].items() if detail["exact_identity"]]
+    assert sorted(exact) == ["xcoord-k1", "xcoord-k3"]
+    assert all(spectrum["details"][name]["slope"] is None for name in exact)
     result = CliRunner().invoke(main, ["report", str(tmp_path / "out")])
     assert result.exit_code == 0
     assert f"{'xcoord-k1':20s} exact identity" in result.output

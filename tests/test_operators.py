@@ -10,7 +10,7 @@ import pytest
 
 from assembly_reference import identity_exact, kernel_of, values
 from btlab.config import parse_symbols
-from btlab.errors import ShapeMismatch
+from btlab.errors import BasisNormUnderflow, ShapeMismatch
 from btlab.exact import QC
 from btlab.operators import (
     Kernel,
@@ -310,7 +310,7 @@ def test_exact_operators_live_past_the_float_underflow():
     m = 1100
     t = toeplitz_exact(bump, m)
     assert trace_exact(t) == QC(m + 1) * average(bump)
-    with pytest.raises(ZeroDivisionError, match="underflows to 0.0 at level 1100"):
+    with pytest.raises(BasisNormUnderflow, match="underflows to 0.0 at level 1100"):
         t.entries
 
 
